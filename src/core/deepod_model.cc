@@ -1,6 +1,7 @@
 #include "core/deepod_model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "match/map_matcher.h"
@@ -186,41 +187,102 @@ nn::Tensor DeepOdModel::EstimateFromCode(const nn::Tensor& code) {
   return mlp2_->Forward(code);  // Eq. 20 (normalised units)
 }
 
+bool DeepOdModel::OcodeMemoEngaged() const {
+  return !nn::GradEnabled() && !training_;
+}
+
 nn::Tensor DeepOdModel::EncodeExternal(const traj::OdInput& od) {
   const bool use_other = config_.ablation != Ablation::kNoOther;
   if (!use_other || speed_ == nullptr) {
     return nn::Tensor::Zeros({config_.dm6});
   }
+  if (OcodeMemoEngaged()) {
+    auto ocode = nn::AcquireBuffer(config_.dm6);
+    FillMemoisedOcode(od, ocode.data());
+    return nn::Tensor::FromData({config_.dm6}, std::move(ocode));
+  }
   const auto& matrices = *speed_;
-  // Memo only in serving conditions: no autograd (a memoised leaf has no
-  // graph to offer) and training off (a training-mode forward updates
-  // BatchNorm running statistics, a side effect a memo hit would skip).
-  const bool memoize =
-      !nn::GradEnabled() && !training_ && ocode_memo_capacity_ > 0;
-  uint64_t key = 0;
-  if (memoize) {
-    const auto snapshot = static_cast<int64_t>(
-        matrices.SnapshotTime(od.departure_time) / matrices.snapshot_seconds());
-    key = (static_cast<uint64_t>(static_cast<uint32_t>(od.weather_type)) << 32) ^
-          static_cast<uint64_t>(snapshot);
+  return external_encoder_->Forward(od.weather_type,
+                                    matrices.MatrixAt(od.departure_time),
+                                    matrices.rows(), matrices.cols());
+}
+
+void DeepOdModel::FillMemoisedOcode(const traj::OdInput& od, double* out) {
+  ExternalFeaturesEncoder::CheckWeatherType(od.weather_type);
+  const auto& matrices = *speed_;
+  const int64_t snapshot = std::llround(
+      matrices.SnapshotTime(od.departure_time) / matrices.snapshot_seconds());
+  const size_t slot =
+      (static_cast<size_t>(snapshot) *
+           ExternalFeaturesEncoder::kNumWeatherTypes +
+       static_cast<size_t>(od.weather_type)) %
+      kOcodeSlots;
+  const size_t dm6 = config_.dm6;
+  const size_t dtraf = external_encoder_->traffic_dim();
+
+  // Level 2, then level 1, under one lock; the CNN and the head run
+  // outside it.
+  ExternalFeaturesEncoder::TrafficCode traffic;
+  bool have_traffic = false;
+  uint64_t generation = 0;
+  {
     std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-    auto it = ocode_memo_.find(key);
-    if (it != ocode_memo_.end()) {
-      return nn::Tensor::FromData({config_.dm6},
-                                  std::vector<double>(*it->second));
+    if (ocode_slots_.empty()) {
+      ocode_slots_.resize(kOcodeSlots);
+      ocode_slot_data_.resize(kOcodeSlots * dm6);
+    }
+    const OcodeSlot& entry = ocode_slots_[slot];
+    if (entry.filled && entry.snapshot == snapshot) {
+      std::copy_n(&ocode_slot_data_[slot * dm6], dm6, out);
+      ocode_hits_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    generation = ocode_memo_generation_;
+    if (auto it = traffic_codes_.find(snapshot); it != traffic_codes_.end()) {
+      auto dtraf_data = nn::AcquireBuffer(dtraf);
+      std::copy_n(it->second.data(), dtraf, dtraf_data.data());
+      traffic.dtraf = nn::Tensor::FromData({dtraf}, std::move(dtraf_data));
+      traffic.mean = it->second[dtraf];
+      traffic.sd = it->second[dtraf + 1];
+      have_traffic = true;
     }
   }
-  const auto matrix = matrices.MatrixAt(od.departure_time);
-  nn::Tensor ocode = external_encoder_->Forward(od.weather_type, matrix,
-                                                matrices.rows(),
-                                                matrices.cols());
-  if (memoize) {
-    auto entry = std::make_shared<const std::vector<double>>(ocode.data());
+  if (!have_traffic) {
+    traffic = external_encoder_->EncodeTraffic(
+        matrices.MatrixAt(od.departure_time), matrices.rows(),
+        matrices.cols());
+    ocode_cnn_runs_.fetch_add(1, std::memory_order_relaxed);
+    std::vector<double> code;
+    code.reserve(dtraf + 2);
+    code.insert(code.end(), traffic.dtraf.data().begin(),
+                traffic.dtraf.data().end());
+    code.push_back(traffic.mean);
+    code.push_back(traffic.sd);
     std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-    if (ocode_memo_.size() >= ocode_memo_capacity_) ocode_memo_.clear();
-    ocode_memo_.emplace(key, std::move(entry));
+    if (generation == ocode_memo_generation_) {
+      if (traffic_codes_.size() >= kMaxTrafficCodes) traffic_codes_.clear();
+      traffic_codes_.emplace(snapshot, std::move(code));
+    }
   }
-  return ocode;
+  const nn::Tensor ocode = external_encoder_->EncodeHead(od.weather_type,
+                                                         traffic);
+  ocode_head_runs_.fetch_add(1, std::memory_order_relaxed);
+  std::copy_n(ocode.data().data(), dm6, out);
+  std::lock_guard<std::mutex> lock(ocode_memo_mu_);
+  if (generation == ocode_memo_generation_) {
+    ocode_slots_[slot] = {snapshot, true};
+    std::copy_n(out, dm6, &ocode_slot_data_[slot * dm6]);
+  }
+}
+
+DeepOdModel::OcodeMemoStats DeepOdModel::ocode_memo_stats() const {
+  OcodeMemoStats stats;
+  stats.hits = ocode_hits_.load(std::memory_order_relaxed);
+  stats.head_runs = ocode_head_runs_.load(std::memory_order_relaxed);
+  stats.cnn_runs = ocode_cnn_runs_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(ocode_memo_mu_);
+  stats.traffic_codes = traffic_codes_.size();
+  return stats;
 }
 
 double DeepOdModel::Predict(const traj::OdInput& od) {
@@ -263,9 +325,13 @@ void DeepOdModel::FillOdFeatureRow(const traj::OdInput& od, double* row) {
   }
   p += config_.dt;
 
-  const nn::Tensor ocode = EncodeExternal(od);
-  const auto& od_data = ocode.data();
-  std::copy(od_data.begin(), od_data.end(), p);
+  if (OcodeMemoEngaged() && config_.ablation != Ablation::kNoOther &&
+      speed_ != nullptr) {
+    FillMemoisedOcode(od, p);  // the allocation-free hit path
+  } else {
+    const nn::Tensor ocode = EncodeExternal(od);
+    std::copy_n(ocode.data().data(), config_.dm6, p);
+  }
   p += config_.dm6;
 
   p[0] = od.origin_ratio;
@@ -311,15 +377,11 @@ std::vector<double> DeepOdModel::PredictBatch(
   return out;
 }
 
-void DeepOdModel::SetOcodeMemoCapacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-  ocode_memo_capacity_ = capacity;
-  ocode_memo_.clear();
-}
-
 void DeepOdModel::ClearOcodeMemo() {
   std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-  ocode_memo_.clear();
+  ++ocode_memo_generation_;
+  traffic_codes_.clear();
+  std::fill(ocode_slots_.begin(), ocode_slots_.end(), OcodeSlot{});
 }
 
 void DeepOdModel::SetSpeedProvider(const sim::SpeedProvider* speed) {
@@ -461,8 +523,7 @@ void DeepOdModel::SetTraining(bool training) {
   external_encoder_->SetTraining(training);
   // Mode flips bracket parameter updates (the trainer toggles around every
   // validation pass), so cached ocodes may be stale — drop them.
-  std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-  ocode_memo_.clear();
+  ClearOcodeMemo();
 }
 
 }  // namespace deepod::core

@@ -1,6 +1,7 @@
 #ifndef DEEPOD_CORE_DEEPOD_MODEL_H_
 #define DEEPOD_CORE_DEEPOD_MODEL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -72,10 +73,15 @@ class DeepOdModel : public nn::Module {
   nn::Tensor EstimateFromCode(const nn::Tensor& code);
 
   // External-features encoding (§4.5): ocode for the OD's departure time and
-  // weather. In serving conditions (inference mode, training off) the result
-  // is memoised per (weather, speed-matrix snapshot) — the CNN is
-  // deterministic given those, so a memo hit returns bit-identical values
-  // while skipping the dominant per-query compute.
+  // weather. In serving conditions (inference mode, training off) it is
+  // memoised on two levels. The weather-free traffic code (the CNN over the
+  // speed matrix plus the matrix's mean and sd) is kept per speed-matrix
+  // snapshot, so the CNN runs once per snapshot however many weathers ask.
+  // The finished ocode is kept per (weather, snapshot) in a fixed
+  // direct-mapped table, so a repeat costs one copy. Both levels are
+  // deterministic given their keys, so hits are bit-identical to the
+  // unmemoised forward. Outside serving conditions this is the plain
+  // ExternalFeaturesEncoder::Forward, autograd graph and all.
   nn::Tensor EncodeExternal(const traj::OdInput& od);
 
   // Online estimation (Algorithm 1, Estimation): seconds for an OD input.
@@ -92,15 +98,27 @@ class DeepOdModel : public nn::Module {
   std::vector<double> PredictBatch(std::span<const traj::OdInput> ods,
                                    util::ThreadPool* pool = nullptr);
 
-  // Capacity of the ocode memo used by EncodeExternal (entries; 0 disables).
-  // The memo is invalidated on SetTraining and Load since parameter or mode
-  // changes would make cached codes stale.
-  void SetOcodeMemoCapacity(size_t capacity);
-
-  // Drops every memoised ocode. Callers that mutate model state behind the
-  // model's back (the trainer's checkpoint restore, the artifact loader)
-  // must invalidate the memo themselves.
+  // Drops every memoised traffic code and ocode. The model clears the memo
+  // itself on SetTraining, Load and SetSpeedProvider. Callers that mutate
+  // model state behind the model's back (the trainer's checkpoint restore,
+  // the artifact loader) or the matrices its speed provider serves
+  // (RollingSpeedField::Publish) must clear it themselves.
   void ClearOcodeMemo();
+
+  // Memoised-path counters since construction: ocodes served from the memo,
+  // Eq. 18 heads run on a miss, and traffic CNNs run on a snapshot miss
+  // (relaxed atomics; the unmemoised training path counts nothing). Plus
+  // the traffic codes the memo holds now.
+  struct OcodeMemoStats {
+    uint64_t hits = 0;
+    uint64_t head_runs = 0;
+    uint64_t cnn_runs = 0;
+    size_t traffic_codes = 0;
+  };
+  OcodeMemoStats ocode_memo_stats() const;
+
+  // Bound on the memoised traffic codes: one week of 5-minute snapshots.
+  static constexpr size_t kMaxTrafficCodes = 2016;
 
   // Swaps the external-feature speed source (e.g. a frozen
   // sim::SnapshotSpeedField from an artifact; null disables ocode). The
@@ -160,6 +178,14 @@ class DeepOdModel : public nn::Module {
   // the exact doubles EncodeOd's ConcatVec would produce. Callers must hold
   // an inference guard when the ocode memo should engage.
   void FillOdFeatureRow(const traj::OdInput& od, double* row);
+
+  // The memo engages only in serving conditions: no autograd (a memoised
+  // code has no graph to offer) and training off (a training-mode forward
+  // updates BatchNorm running statistics, a side effect a hit would skip).
+  bool OcodeMemoEngaged() const;
+  // Writes the memoised-path ocode of `od` into out[0..dm6). Requires a
+  // speed provider and OcodeMemoEngaged(); a hit allocates nothing.
+  void FillMemoisedOcode(const traj::OdInput& od, double* out);
   size_t z9_dim() const {
     return config_.ds * 2 + config_.dt + config_.dm6 + 3;
   }
@@ -174,11 +200,28 @@ class DeepOdModel : public nn::Module {
   temporal::TimeSlotter slotter_;
   double time_scale_ = 1.0;
 
-  // ocode memo (see EncodeExternal).
-  size_t ocode_memo_capacity_ = 64;
-  std::mutex ocode_memo_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const std::vector<double>>>
-      ocode_memo_;
+  // ocode memo (see EncodeExternal). Level 1 maps a snapshot index to its
+  // traffic code (dtraf doubles, then mean and sd). A frozen speed field
+  // clamps to its stored snapshots, so this stays at their count;
+  // kMaxTrafficCodes only matters for a provider whose snapshot times are
+  // unbounded, and past it the level is cleared. Level 2 is kOcodeSlots
+  // direct-mapped ocodes indexed by snapshot * 16 + weather, so 16
+  // consecutive snapshots in every weather never evict each other, and a
+  // slot's weather is its index mod 16. Every clear bumps the generation;
+  // a miss computed under an older generation is returned but not stored.
+  static constexpr size_t kOcodeSlots = 256;
+  struct OcodeSlot {
+    int64_t snapshot = 0;
+    bool filled = false;
+  };
+  mutable std::mutex ocode_memo_mu_;
+  uint64_t ocode_memo_generation_ = 0;
+  std::unordered_map<int64_t, std::vector<double>> traffic_codes_;
+  std::vector<OcodeSlot> ocode_slots_;   // kOcodeSlots, sized on first use
+  std::vector<double> ocode_slot_data_;  // kOcodeSlots x dm6
+  std::atomic<uint64_t> ocode_hits_{0};
+  std::atomic<uint64_t> ocode_head_runs_{0};
+  std::atomic<uint64_t> ocode_cnn_runs_{0};
 
   std::unique_ptr<nn::Embedding> road_embedding_;       // Ws
   std::unique_ptr<nn::Embedding> time_slot_embedding_;  // Wt

@@ -141,32 +141,64 @@ ExternalFeaturesEncoder::ExternalFeaturesEncoder(const DeepOdConfig& config,
       // restore it.
       mlp_(kNumWeatherTypes + config.dtraf + 2, config.dm5, config.dm6, rng) {}
 
-nn::Tensor ExternalFeaturesEncoder::Forward(
-    int weather_type, const std::vector<double>& speed_matrix, size_t rows,
-    size_t cols) {
+void ExternalFeaturesEncoder::CheckWeatherType(int weather_type) {
   if (weather_type < 0 || weather_type >= static_cast<int>(kNumWeatherTypes)) {
     throw std::out_of_range("ExternalFeaturesEncoder: bad weather type");
   }
-  if (speed_matrix.size() != rows * cols || rows == 0 || cols == 0) {
-    throw std::invalid_argument("ExternalFeaturesEncoder: bad matrix shape");
-  }
+}
+
+nn::Tensor ExternalFeaturesEncoder::Forward(
+    int weather_type, const std::vector<double>& speed_matrix, size_t rows,
+    size_t cols) {
+  CheckWeatherType(weather_type);  // before the CNN runs
   size_t pr = 0, pc = 0;
+  double mean = 0.0, sd = 0.0;
   const std::vector<double> pooled =
-      PoolMatrix(speed_matrix, rows, cols, max_dim_, &pr, &pc);
-  double mean = 0.0;
-  for (double v : pooled) mean += v;
-  mean /= static_cast<double>(pooled.size());
-  double var = 0.0;
-  for (double v : pooled) var += (v - mean) * (v - mean);
-  const double sd = std::sqrt(var / static_cast<double>(pooled.size()));
+      PoolWithStats(speed_matrix, rows, cols, &pr, &pc, &mean, &sd);
+  // The tensors live until the head has run and die CNN output first, as
+  // before the split: the thread's buffer pool hands storage out in LIFO
+  // order, so their lifetimes shape the training step's allocations.
   const nn::Tensor matrix = nn::Tensor::FromData({1, pr, pc}, pooled);
-  const nn::Tensor dtraf = cnn_.Forward(matrix);
+  const TrafficCode traffic{cnn_.Forward(matrix), mean, sd};
+  return EncodeHead(weather_type, traffic);
+}
+
+ExternalFeaturesEncoder::TrafficCode ExternalFeaturesEncoder::EncodeTraffic(
+    const std::vector<double>& speed_matrix, size_t rows, size_t cols) {
+  TrafficCode traffic;
+  size_t pr = 0, pc = 0;
+  const std::vector<double> pooled = PoolWithStats(
+      speed_matrix, rows, cols, &pr, &pc, &traffic.mean, &traffic.sd);
+  traffic.dtraf = cnn_.Forward(nn::Tensor::FromData({1, pr, pc}, pooled));
+  return traffic;
+}
+
+nn::Tensor ExternalFeaturesEncoder::EncodeHead(int weather_type,
+                                               const TrafficCode& traffic) {
+  CheckWeatherType(weather_type);
   std::vector<double> onehot(kNumWeatherTypes, 0.0);
   onehot[static_cast<size_t>(weather_type)] = 1.0;
   const nn::Tensor z8 = nn::ConcatVec(
-      {nn::Tensor::FromData({kNumWeatherTypes}, onehot), dtraf,
-       nn::Tensor::FromData({2}, {mean, sd})});
+      {nn::Tensor::FromData({kNumWeatherTypes}, onehot), traffic.dtraf,
+       nn::Tensor::FromData({2}, {traffic.mean, traffic.sd})});
   return mlp_.Forward(z8);  // Eq. 18 -> ocode
+}
+
+std::vector<double> ExternalFeaturesEncoder::PoolWithStats(
+    const std::vector<double>& speed_matrix, size_t rows, size_t cols,
+    size_t* pr, size_t* pc, double* mean, double* sd) const {
+  if (speed_matrix.size() != rows * cols || rows == 0 || cols == 0) {
+    throw std::invalid_argument("ExternalFeaturesEncoder: bad matrix shape");
+  }
+  std::vector<double> pooled =
+      PoolMatrix(speed_matrix, rows, cols, max_dim_, pr, pc);
+  *mean = 0.0;
+  for (double v : pooled) *mean += v;
+  *mean /= static_cast<double>(pooled.size());
+  double var = 0.0;
+  for (double v : pooled) var += (v - *mean) * (v - *mean);
+  *sd = std::sqrt(var / static_cast<double>(pooled.size()));
+  return pooled;
 }
 
 std::vector<nn::Tensor> ExternalFeaturesEncoder::Parameters() {

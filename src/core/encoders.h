@@ -72,23 +72,53 @@ class TrajectoryEncoder : public nn::Module {
 // CNN encoding of the current speed matrix, merged by a two-layer MLP
 // (Eq. 18) into ocode. The speed matrix is average-pooled down to at most
 // max_speed_matrix_dim per side before the CNN (see DeepOdConfig).
+//
+// Weather never enters the CNN, so the encoding splits where it joins:
+// EncodeTraffic (pooling, summary scalars, CNN) depends on the speed matrix
+// alone, and EncodeHead adds the weather through the Eq. 18 MLP. Their
+// composition computes exactly Forward's bits, so a caller that memoises
+// the traffic part per snapshot and runs only the head per weather gets
+// Forward's answer; the training path keeps calling Forward.
 class ExternalFeaturesEncoder : public nn::Module {
  public:
   static constexpr size_t kNumWeatherTypes = 16;
 
+  // The weather-free part of the encoding: the CNN output over the pooled
+  // speed matrix plus that matrix's spatial mean and stddev.
+  struct TrafficCode {
+    nn::Tensor dtraf;  // [dtraf]
+    double mean = 0.0;
+    double sd = 0.0;
+  };
+
   ExternalFeaturesEncoder(const DeepOdConfig& config, util::Rng& rng);
 
-  // `speed_matrix` is row-major rows x cols in [0,1].
+  // `speed_matrix` is row-major rows x cols in [0,1]. Same values as
+  // EncodeHead(weather_type, EncodeTraffic(speed_matrix, rows, cols)).
   nn::Tensor Forward(int weather_type, const std::vector<double>& speed_matrix,
                      size_t rows, size_t cols);
+
+  TrafficCode EncodeTraffic(const std::vector<double>& speed_matrix,
+                            size_t rows, size_t cols);
+  nn::Tensor EncodeHead(int weather_type, const TrafficCode& traffic);
+
+  // Throws std::out_of_range unless 0 <= weather_type < kNumWeatherTypes.
+  static void CheckWeatherType(int weather_type);
 
   std::vector<nn::Tensor> Parameters() override;
   void AppendState(const std::string& prefix, nn::StateDict& out) override;
   void SetTraining(bool training) override;
 
   size_t out_dim() const;
+  size_t traffic_dim() const { return cnn_.out_dim(); }
 
  private:
+  // Pools the matrix (PoolMatrix) and reports the pooled mean and sd.
+  std::vector<double> PoolWithStats(const std::vector<double>& speed_matrix,
+                                    size_t rows, size_t cols, size_t* pr,
+                                    size_t* pc, double* mean,
+                                    double* sd) const;
+
   size_t max_dim_;
   nn::TrafficCnn cnn_;
   nn::Mlp2 mlp_;

@@ -17,6 +17,7 @@ namespace {
 // the owning object may already be gone.
 struct BufferPool {
   std::vector<std::vector<double>> buffers;
+  size_t bytes = 0;  // sum of the pooled buffers' capacities
 };
 
 thread_local BufferPool* tls_pool = nullptr;
@@ -39,18 +40,21 @@ BufferPool* GetPool() {
 }
 
 constexpr size_t kMaxPooledBuffers = 4096;
-constexpr size_t kMaxPooledCapacity = 1u << 22;  // 32 MiB of doubles
 
 thread_local KernelMode tls_kernel_mode = KernelMode::kBlocked;
 thread_local bool tls_grad_enabled = true;
 
+// Any tensor's storage lands here when the tensor dies, including vectors
+// that never came from the pool, so the byte cap is what bounds the pool.
 void RecycleBuffer(std::vector<double>&& v) {
-  if (tls_kernel_mode == KernelMode::kLegacy || v.capacity() == 0 ||
-      v.capacity() > kMaxPooledCapacity) {
+  const size_t bytes = v.capacity() * sizeof(double);
+  if (tls_kernel_mode == KernelMode::kLegacy || bytes == 0) return;
+  BufferPool* pool = GetPool();
+  if (pool == nullptr || pool->buffers.size() >= kMaxPooledBuffers ||
+      pool->bytes + bytes > kMaxPooledBufferBytes) {
     return;
   }
-  BufferPool* pool = GetPool();
-  if (pool == nullptr || pool->buffers.size() >= kMaxPooledBuffers) return;
+  pool->bytes += bytes;
   pool->buffers.push_back(std::move(v));
 }
 
@@ -100,11 +104,17 @@ std::vector<double> AcquireBuffer(size_t size) {
     if (BufferPool* pool = GetPool(); pool && !pool->buffers.empty()) {
       std::vector<double> v = std::move(pool->buffers.back());
       pool->buffers.pop_back();
+      pool->bytes -= v.capacity() * sizeof(double);
       v.resize(size);
       return v;
     }
   }
   return std::vector<double>(size);
+}
+
+size_t PooledBufferBytes() {
+  const BufferPool* pool = GetPool();
+  return pool != nullptr ? pool->bytes : 0;
 }
 
 std::vector<double> AcquireZeroBuffer(size_t size) {

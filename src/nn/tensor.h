@@ -268,6 +268,12 @@ void BumpParamEpoch();
 std::vector<double> AcquireBuffer(size_t size);
 std::vector<double> AcquireZeroBuffer(size_t size);
 
+// Per-thread cap on the bytes of recycled storage the pool keeps; a dying
+// tensor whose storage would push the pool past it frees it instead.
+inline constexpr size_t kMaxPooledBufferBytes = size_t{1} << 20;  // 1 MiB
+// Bytes the calling thread's pool holds (tests).
+size_t PooledBufferBytes();
+
 }  // namespace deepod::nn
 
 #endif  // DEEPOD_NN_TENSOR_H_

@@ -35,6 +35,13 @@ EtaService::EtaService(std::shared_ptr<ServingState> initial,
       swaps_(registry_.counter(options.registry_prefix + "swaps")),
       queue_depth_(registry_.gauge(options.registry_prefix + "queue_depth")),
       epoch_gauge_(registry_.gauge(options.registry_prefix + "epoch")),
+      ocode_hits_(registry_.gauge(options.registry_prefix + "ocode_hits")),
+      ocode_head_runs_(
+          registry_.gauge(options.registry_prefix + "ocode_head_runs")),
+      ocode_cnn_runs_(
+          registry_.gauge(options.registry_prefix + "ocode_cnn_runs")),
+      ocode_traffic_codes_(
+          registry_.gauge(options.registry_prefix + "ocode_traffic_codes")),
       latency_(registry_.histogram(options.registry_prefix + "latency")),
       queue_wait_(registry_.histogram(options.registry_prefix + "queue_wait")),
       batch_assembly_(
@@ -95,12 +102,24 @@ uint64_t EtaService::BumpEpoch() {
   std::lock_guard<std::mutex> lock(state_mu_);
   auto fresh = std::make_shared<ServingState>(*state_);
   fresh->epoch = ++last_epoch_;
-  // The speed data the model reads changed under it: memoised external
-  // codes (keyed by weather/snapshot, not by matrix content) are stale.
+  // The speed data the model reads changed under it: the memoised traffic
+  // codes and ocodes are keyed by snapshot index, not by matrix content,
+  // so both levels are stale.
   fresh->model->ClearOcodeMemo();
   state_ = std::move(fresh);
   epoch_gauge_.Set(static_cast<double>(state_->epoch));
   return state_->epoch;
+}
+
+void EtaService::PublishModelStats() const {
+  // The gauges are registry-owned instruments; updating them does not
+  // change the service.
+  const core::DeepOdModel::OcodeMemoStats stats =
+      state()->model->ocode_memo_stats();
+  ocode_hits_.Set(static_cast<double>(stats.hits));
+  ocode_head_runs_.Set(static_cast<double>(stats.head_runs));
+  ocode_cnn_runs_.Set(static_cast<double>(stats.cnn_runs));
+  ocode_traffic_codes_.Set(static_cast<double>(stats.traffic_codes));
 }
 
 OdCacheKey EtaService::MakeKeyForState(const traj::OdInput& od,
@@ -341,6 +360,7 @@ std::string EtaService::ExportJson() const {
 }
 
 std::string EtaService::ExportPrometheus() const {
+  PublishModelStats();
   return registry_.ExportPrometheus(options_.registry_prefix);
 }
 

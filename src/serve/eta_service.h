@@ -136,9 +136,10 @@ struct EtaServiceStats {
 // Observability: every stat lives in a private obs::Registry under the
 // "serve/" prefix — counters for requests/hits/misses/batches/swaps, a
 // latency histogram, queue-wait and batch-assembly histograms, queue-depth
-// and epoch gauges. The registry is per-instance (stats never bleed
-// between services) and always on. StatsSnapshot() is served from the
-// registry; ExportJson() emits the shared BENCH-json schema through
+// and epoch gauges, and the model's ocode-memo counters. The registry is
+// per-instance (stats never bleed between services) and always on.
+// StatsSnapshot() is served from the registry; ExportJson() emits the
+// shared BENCH-json schema through
 // serve::ExportStatsJson (stats.h) — the same entry point the network
 // server's stats frame and --stats-json use — and ExportPrometheus() the
 // text exposition format. Thread-safe; the model must not be trained while
@@ -225,6 +226,12 @@ class EtaService {
   // Prometheus text exposition of the serve/* metrics.
   std::string ExportPrometheus() const;
   const obs::Registry& registry() const { return registry_; }
+  // Copies the serving model's ocode-memo stats (DeepOdModel::
+  // ocode_memo_stats; the counters run since that model was built) into
+  // the "ocode_hits", "ocode_head_runs", "ocode_cnn_runs" and
+  // "ocode_traffic_codes" gauges. The stats export (serve::CollectStats)
+  // calls it before reading the registry.
+  void PublishModelStats() const;
 
   // Cache key of `od` under the current epoch (acquires the state; the
   // request paths key against the state they already hold).
@@ -268,6 +275,10 @@ class EtaService {
   obs::Counter& swaps_;
   obs::Gauge& queue_depth_;
   obs::Gauge& epoch_gauge_;
+  obs::Gauge& ocode_hits_;
+  obs::Gauge& ocode_head_runs_;
+  obs::Gauge& ocode_cnn_runs_;
+  obs::Gauge& ocode_traffic_codes_;
   obs::Histogram& latency_;         // request completion latency (seconds)
   obs::Histogram& queue_wait_;      // TrySubmit enqueue -> dispatcher dequeue
   obs::Histogram& batch_assembly_;  // cache resolution + miss-batch build

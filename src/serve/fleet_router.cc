@@ -366,7 +366,7 @@ void FleetRouter::AppendStatsSources(StatsSources* sources) const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu_);
     if (shard->service_ != nullptr) {
-      sources->extra.push_back(&shard->service_->registry());
+      sources->services.push_back(shard->service_.get());
     }
     // Shard reloader registries are deliberately skipped: their "reload/*"
     // names are not per-city and would collide across shards in the merged

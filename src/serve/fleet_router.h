@@ -208,8 +208,8 @@ class FleetRouter {
   // Stops the activation watcher and every shard reloader (idempotent).
   void Stop();
 
-  // Adds the router's registry and every warm shard's service/reloader
-  // registries to `sources->extra` for the merged stats export.
+  // Adds the router's registry to `sources->extra` and every warm shard's
+  // service to `sources->services` for the merged stats export.
   void AppendStatsSources(StatsSources* sources) const;
 
   const obs::Registry& registry() const { return registry_; }

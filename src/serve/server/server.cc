@@ -176,12 +176,12 @@ void DeepOdServer::AcceptLoop() {
         conn->open.store(false);
         ::close(conn->fd);
       }
-      {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        connections_.erase(id);
-        --live_connections_;
-        connections_gauge_.Set(static_cast<double>(live_connections_));
-      }
+      // Notify under the lock: once it is released, Shutdown may return
+      // and the server (condition variable included) may be destroyed.
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      connections_.erase(id);
+      --live_connections_;
+      connections_gauge_.Set(static_cast<double>(live_connections_));
       conns_done_.notify_all();
     }).detach();
   }

@@ -17,13 +17,22 @@ void AppendRegistry(const obs::Registry* registry,
              std::make_move_iterator(records.end()));
 }
 
+// A service's registry, with its model-owned gauges brought up to date.
+const obs::Registry* ServiceRegistry(const EtaService* service) {
+  if (service == nullptr) return nullptr;
+  service->PublishModelStats();
+  return &service->registry();
+}
+
 }  // namespace
 
 std::vector<obs::Record> CollectStats(const StatsSources& sources) {
   std::vector<obs::Record> out;
   AppendRegistry(sources.server, out);
-  AppendRegistry(sources.service ? &sources.service->registry() : nullptr,
-                 out);
+  AppendRegistry(ServiceRegistry(sources.service), out);
+  for (const EtaService* service : sources.services) {
+    AppendRegistry(ServiceRegistry(service), out);
+  }
   AppendRegistry(sources.reloader ? &sources.reloader->registry() : nullptr,
                  out);
   AppendRegistry(sources.drift ? &sources.drift->registry() : nullptr, out);
@@ -47,7 +56,12 @@ std::string ExportStatsJson(const StatsSources& sources) {
 std::string ExportStatsPrometheus(const StatsSources& sources) {
   std::string out;
   if (sources.server) out += sources.server->ExportPrometheus("");
-  if (sources.service) out += sources.service->registry().ExportPrometheus("");
+  if (const obs::Registry* registry = ServiceRegistry(sources.service)) {
+    out += registry->ExportPrometheus("");
+  }
+  for (const EtaService* service : sources.services) {
+    out += ServiceRegistry(service)->ExportPrometheus("");
+  }
   if (sources.reloader) {
     out += sources.reloader->registry().ExportPrometheus("");
   }

@@ -23,9 +23,13 @@ struct StatsSources {
   const EtaService* service = nullptr;
   const ModelReloader* reloader = nullptr;
   const DriftMonitor* drift = nullptr;
+  // Further services merged into the same export — the fleet router
+  // appends every warm shard's service ("serve/<city>/*") here. Borrowed;
+  // must outlive the call.
+  std::vector<const EtaService*> services;
   // Additional registries merged into the same export — the fleet router
-  // appends its own registry ("fleet/*") plus every warm shard's service
-  // registry ("serve/<city>/*") here. Borrowed; must outlive the call.
+  // appends its own registry ("fleet/*") here. Borrowed; must outlive the
+  // call.
   std::vector<const obs::Registry*> extra;
 };
 

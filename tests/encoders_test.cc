@@ -162,6 +162,31 @@ TEST(ExternalFeaturesEncoderTest, CongestionLevelSensitivity) {
   EXPECT_GT(diff, 1e-6);
 }
 
+TEST(ExternalFeaturesEncoderTest, SplitComposesToForwardBitForBit) {
+  // The serving memo keeps one traffic code per snapshot and runs only the
+  // head per weather; that must reproduce Forward exactly in every tier.
+  const DeepOdConfig config = SmallConfig();
+  util::Rng rng(10);
+  ExternalFeaturesEncoder encoder(config, rng);
+  encoder.SetTraining(false);
+  std::vector<double> matrix(10 * 12);
+  util::Rng noise(11);
+  for (double& v : matrix) v = noise.Uniform();
+  for (const nn::KernelMode mode :
+       {nn::KernelMode::kLegacy, nn::KernelMode::kBlocked,
+        nn::KernelMode::kSimd}) {
+    nn::KernelModeScope scope(mode);
+    const ExternalFeaturesEncoder::TrafficCode traffic =
+        encoder.EncodeTraffic(matrix, 10, 12);
+    EXPECT_EQ(traffic.dtraf.size(), encoder.traffic_dim());
+    for (int w = 0;
+         w < static_cast<int>(ExternalFeaturesEncoder::kNumWeatherTypes); ++w) {
+      EXPECT_EQ(encoder.EncodeHead(w, traffic).data(),
+                encoder.Forward(w, matrix, 10, 12).data());
+    }
+  }
+}
+
 TEST(ExternalFeaturesEncoderTest, InputValidation) {
   const DeepOdConfig config = SmallConfig();
   util::Rng rng(9);
@@ -170,6 +195,9 @@ TEST(ExternalFeaturesEncoderTest, InputValidation) {
   EXPECT_THROW(encoder.Forward(-1, matrix, 2, 2), std::out_of_range);
   EXPECT_THROW(encoder.Forward(16, matrix, 2, 2), std::out_of_range);
   EXPECT_THROW(encoder.Forward(0, matrix, 3, 2), std::invalid_argument);
+  const auto traffic = encoder.EncodeTraffic(matrix, 2, 2);
+  EXPECT_THROW(encoder.EncodeHead(16, traffic), std::out_of_range);
+  EXPECT_THROW(encoder.EncodeTraffic(matrix, 3, 2), std::invalid_argument);
 }
 
 }  // namespace

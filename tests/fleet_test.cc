@@ -21,6 +21,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/od_oracle.h"
@@ -348,6 +349,7 @@ TEST_F(FleetTest, ServerServesThreeCitiesFromOneProcess) {
   EXPECT_EQ(router.WarmCount(), 2u);
 
   ServerOptions server_options;  // num_segments stays 0: per-shard validation
+  server_options.executors = 2;  // two executors share each shard's model
   DeepOdServer server(router, server_options);
   server.Start();
   Client client;
@@ -406,6 +408,38 @@ TEST_F(FleetTest, ServerServesThreeCitiesFromOneProcess) {
       city_a_->oracle.InDistribution(router.Resolve(1)->network(), oversized);
   EXPECT_EQ(response.estimator,
             in_dist ? Estimator::kModel : Estimator::kOracle);
+
+  // A pipelined burst over both warm cities in all 16 weathers: the two
+  // executors hit, miss and fill each shard's ocode memo concurrently, and
+  // every answer still equals the shard's own.
+  std::vector<std::pair<uint32_t, traj::OdInput>> burst;
+  for (size_t i = 0; i < 64; ++i) {
+    const uint32_t network_id = i % 2 == 0 ? 1 : 2;
+    traj::OdInput od = SampleOd(network_id == 1 ? *city_a_ : *city_b_, i / 32);
+    od.weather_type = static_cast<int>((i / 2) % 16);
+    burst.emplace_back(network_id, od);
+  }
+  for (size_t i = 0; i < burst.size(); ++i) {
+    RequestFrame request;
+    request.request_id = 100 + i;
+    request.network_id = burst[i].first;
+    request.od = burst[i].second;
+    ASSERT_TRUE(client.Send(request));
+  }
+  for (size_t i = 0; i < burst.size(); ++i) {
+    ASSERT_TRUE(client.ReadResponse(&response));
+    ASSERT_GE(response.request_id, 100u);
+    const auto& [network_id, od] = burst[response.request_id - 100];
+    EXPECT_EQ(response.status, Status::kOk);
+    if (response.estimator == Estimator::kModel) {
+      EXPECT_EQ(response.eta_seconds,
+                router.Resolve(network_id)->service()->Estimate(od));
+    }
+  }
+  // The stats frame names each shard's memo counters.
+  const std::string stats = server.ExportStatsJson();
+  EXPECT_NE(stats.find("\"serve/a/ocode_cnn_runs\""), std::string::npos);
+  EXPECT_NE(stats.find("\"serve/b/ocode_hits\""), std::string::npos);
 
   client.Close();
   server.Shutdown();

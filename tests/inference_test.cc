@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "core/deepod_model.h"
@@ -25,6 +26,7 @@
 #include "road/routing.h"
 #include "serve/eta_service.h"
 #include "sim/dataset.h"
+#include "sim/rolling_speed_field.h"
 #include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -123,6 +125,181 @@ TEST(InferenceModeTest, PredictForRouteMatchesTrainingForward) {
     if (++checked == 5) break;
   }
   EXPECT_GT(checked, 0u);
+}
+
+// --- ocode memo -----------------------------------------------------------
+
+// One departure (so one speed snapshot) in each of the 16 weathers.
+std::vector<traj::OdInput> AllWeathers(const traj::OdInput& od) {
+  std::vector<traj::OdInput> ods;
+  for (int w = 0;
+       w < static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
+       ++w) {
+    ods.push_back(od);
+    ods.back().weather_type = w;
+  }
+  return ods;
+}
+
+TEST(OcodeMemoTest, ColdWarmAndUnmemoisedAreBitIdenticalInEveryTier) {
+  core::DeepOdModel model(TinyConfig(), TinyDataset());
+  model.SetTraining(false);
+  const auto ods = AllWeathers(TinyDataset().test[0].od);
+  for (const nn::KernelMode mode :
+       {nn::KernelMode::kBlocked, nn::KernelMode::kSimd,
+        nn::KernelMode::kLegacy}) {
+    nn::KernelModeScope scope(mode);
+    model.ClearOcodeMemo();
+    const std::vector<double> cold = model.PredictBatch(ods);
+    const std::vector<double> warm = model.PredictBatch(ods);
+    EXPECT_EQ(warm, cold);
+    for (size_t i = 0; i < ods.size(); ++i) {
+      // Outside an InferenceGuard the model runs the unsplit, memo-free
+      // ExternalFeaturesEncoder::Forward.
+      EXPECT_EQ(model.EncodeExternal(ods[i]).data(),
+                [&] {
+                  const nn::InferenceGuard guard;
+                  return model.EncodeExternal(ods[i]).data();
+                }());
+      EXPECT_EQ(cold[i], TrainingModePredict(model, ods[i]));
+    }
+  }
+  // Snapshots 16 apart share a slot in every weather; each keeps its own
+  // ocode however the two alternate.
+  const double ss = TinyDataset().speed_matrices->snapshot_seconds();
+  std::vector<traj::OdInput> apart;
+  for (int k = 0; k < 4; ++k) {
+    traj::OdInput od = ods[3];
+    od.departure_time += 16.0 * ss * static_cast<double>(k % 2);
+    apart.push_back(od);
+  }
+  const std::vector<double> etas = model.PredictBatch(apart);
+  EXPECT_NE(etas[0], etas[1]);
+  for (size_t i = 0; i < apart.size(); ++i) {
+    EXPECT_EQ(etas[i], TrainingModePredict(model, apart[i]));
+  }
+}
+
+TEST(OcodeMemoTest, CnnRunsOncePerSnapshotAcrossWeathers) {
+  core::DeepOdModel model(TinyConfig(), TinyDataset());
+  model.SetTraining(false);
+  const auto& od = TinyDataset().test[0].od;
+  const double ss = TinyDataset().speed_matrices->snapshot_seconds();
+  std::vector<traj::OdInput> ods = AllWeathers(od);
+  for (traj::OdInput later : AllWeathers(od)) {
+    later.departure_time += ss;  // the next snapshot
+    ods.push_back(later);
+  }
+  model.PredictBatch(ods);
+  auto stats = model.ocode_memo_stats();
+  EXPECT_EQ(stats.cnn_runs, 2u);
+  EXPECT_EQ(stats.head_runs, 32u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.traffic_codes, 2u);
+
+  model.PredictBatch(ods);
+  stats = model.ocode_memo_stats();
+  EXPECT_EQ(stats.cnn_runs, 2u);
+  EXPECT_EQ(stats.head_runs, 32u);
+  EXPECT_EQ(stats.hits, 32u);
+
+  // The training path neither reads nor fills the memo.
+  TrainingModePredict(model, od);
+  EXPECT_EQ(model.ocode_memo_stats().cnn_runs, 2u);
+  model.ClearOcodeMemo();
+  EXPECT_EQ(model.ocode_memo_stats().traffic_codes, 0u);
+}
+
+TEST(OcodeMemoTest, PublishThenBumpEpochServesTheNewMatrix) {
+  const auto& dataset = TinyDataset();
+  core::DeepOdModel model(TinyConfig(), dataset);
+  model.SetTraining(false);
+  const traj::OdInput od = dataset.test[0].od;
+  // No baseline and nothing published: a flat matrix, keyed by the same
+  // snapshot index the published one will have.
+  sim::RollingSpeedField rolling(dataset.network, 200.0, 300.0);
+  model.SetSpeedProvider(&rolling);
+  serve::EtaService service(model, serve::EtaServiceOptions{});
+  const auto encode = [&model, &od] {
+    const nn::InferenceGuard guard;
+    return model.EncodeExternal(od).data();
+  };
+  const double before = service.Estimate(od);
+  const std::vector<double> stale = encode();
+  const double snapshot = rolling.SnapshotTime(od.departure_time);
+
+  std::vector<sim::TripObservation> observations;
+  for (const auto& segment : dataset.network.segments()) {
+    observations.push_back({segment.id, od.departure_time, 2.0});
+  }
+  rolling.Ingest({observations.data(), observations.size()});
+  ASSERT_GT(rolling.Publish(), 0u);
+  service.BumpEpoch();
+  ASSERT_EQ(rolling.SnapshotTime(od.departure_time), snapshot);
+
+  const std::vector<double> fresh = encode();
+  EXPECT_NE(fresh, stale);
+  EXPECT_EQ(fresh, model.EncodeExternal(od).data());  // memo-free forward
+  const double after = service.Estimate(od);
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, TrainingModePredict(model, od));
+}
+
+TEST(OcodeMemoTest, StaysBoundedOverUnboundedSnapshots) {
+  // A rolling field with no baseline and nothing published keys every
+  // departure by its own snapshot, so the snapshot count is unbounded.
+  const auto& dataset = TinyDataset();
+  core::DeepOdModel model(TinyConfig(), dataset);
+  model.SetTraining(false);
+  sim::RollingSpeedField rolling(dataset.network, 200.0, 300.0);
+  model.SetSpeedProvider(&rolling);
+  std::vector<traj::OdInput> ods;
+  traj::OdInput od = dataset.test[0].od;
+  const size_t snapshots = core::DeepOdModel::kMaxTrafficCodes + 300;
+  for (size_t i = 0; i < snapshots; ++i) {
+    od.departure_time = 300.0 * static_cast<double>(i) + 17.0;
+    od.weather_type = static_cast<int>(i % 16);
+    ods.push_back(od);
+  }
+  const std::vector<double> etas = model.PredictBatch(ods);
+  const auto stats = model.ocode_memo_stats();
+  EXPECT_EQ(stats.cnn_runs, snapshots);
+  EXPECT_LE(stats.traffic_codes, core::DeepOdModel::kMaxTrafficCodes);
+  EXPECT_GT(stats.traffic_codes, 0u);
+  for (size_t i = 0; i < ods.size(); i += 97) {
+    EXPECT_EQ(etas[i], TrainingModePredict(model, ods[i]));
+  }
+}
+
+TEST(OcodeMemoTest, ConcurrentBatchesAndClearsMatchSerialAnswers) {
+  // Executors share one model and its memo; concurrent hits, misses and
+  // clears must never hand out another key's ocode.
+  core::DeepOdModel model(TinyConfig(), TinyDataset());
+  model.SetTraining(false);
+  const double ss = TinyDataset().speed_matrices->snapshot_seconds();
+  std::vector<traj::OdInput> ods;
+  for (size_t i = 0; i < 40; ++i) {
+    traj::OdInput od = TinyDataset().test[i % TinyDataset().test.size()].od;
+    od.departure_time += ss * static_cast<double>(i % 5);
+    od.weather_type = static_cast<int>(i % 16);
+    ods.push_back(od);
+  }
+  const std::vector<double> expected = model.PredictBatch(ods);
+  model.ClearOcodeMemo();
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(3, 0);
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        if (model.PredictBatch(ods) != expected) ++mismatches[t];
+      }
+    });
+  }
+  threads.emplace_back([&model] {
+    for (int round = 0; round < 20; ++round) model.ClearOcodeMemo();
+  });
+  for (auto& thread : threads) thread.join();
+  for (int m : mismatches) EXPECT_EQ(m, 0);
 }
 
 TEST(InferenceModeTest, OpsUnderGuardProduceGraphFreeLeaves) {
@@ -330,8 +507,15 @@ TEST(EtaServiceTest, ExportsRegistryBackedStats) {
   EXPECT_NE(json.find("\"serve/latency\""), std::string::npos);
   EXPECT_NE(json.find("\"serve/queue_wait\""), std::string::npos);
 
+  // The model's ocode memo shows through the service's stats: the second
+  // Estimate was a cache hit, so the model encoded once.
+  EXPECT_NE(json.find("\"serve/ocode_hits\""), std::string::npos);
+  EXPECT_NE(json.find("\"serve/ocode_traffic_codes\""), std::string::npos);
+
   const std::string prom = service.ExportPrometheus();
   EXPECT_NE(prom.find("deepod_serve_requests 2"), std::string::npos);
+  EXPECT_NE(prom.find("deepod_serve_ocode_cnn_runs 1"), std::string::npos);
+  EXPECT_NE(prom.find("deepod_serve_ocode_head_runs 1"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE deepod_serve_latency summary"),
             std::string::npos);
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "nn/ops.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
@@ -124,6 +126,29 @@ TEST(TensorTest, NoGradTrackingWithoutRequiresGrad) {
   // Parents are pruned when no input needs grad.
   c.Backward();
   EXPECT_DOUBLE_EQ(a.grad()[0], 0.0);
+}
+
+TEST(TensorTest, BufferPoolStaysUnderItsByteCap) {
+  // Every dying tensor offers its storage to the thread's pool, including
+  // storage the pool never handed out; the byte cap must bound the pool.
+  std::thread([] {
+    for (int i = 0; i < 64; ++i) {
+      Tensor t = Tensor::FromData({size_t{1} << 16},
+                                  std::vector<double>(size_t{1} << 16, 1.0));
+      EXPECT_LE(PooledBufferBytes(), kMaxPooledBufferBytes);
+    }
+    EXPECT_GT(PooledBufferBytes(), 0u);  // small enough ones are still kept
+    EXPECT_LE(PooledBufferBytes(), kMaxPooledBufferBytes);
+    const size_t before = PooledBufferBytes();
+    {
+      const size_t n = kMaxPooledBufferBytes / sizeof(double) + 1;
+      Tensor too_big = Tensor::FromData({n}, std::vector<double>(n, 1.0));
+    }
+    EXPECT_EQ(PooledBufferBytes(), before);
+    // Reuse hands the bytes back out.
+    std::vector<double> reused = AcquireBuffer(8);
+    EXPECT_LT(PooledBufferBytes(), before);
+  }).join();
 }
 
 }  // namespace
