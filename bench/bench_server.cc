@@ -1,5 +1,8 @@
 // Network-serving bench: stands a DeepOdServer up in-process on an
-// ephemeral port and drives it with the open-loop load generator, writing
+// ephemeral port — over the one-row fleet of the trained model's artifact
+// for the steady and overload scenarios, exactly what deepod_server
+// --artifact serves — and drives it with the open-loop load generator,
+// writing
 // BENCH_server.json (obs::Record schema — the percentile-bearing superset
 // of the BenchJsonRecord lines; tools/validate_bench_json.py covers both):
 //   - server/steady/{throughput,goodput,shed_rate,latency}: ~200 qps
@@ -46,6 +49,7 @@
 #include "serve/server/loadgen.h"
 #include "serve/server/server.h"
 #include "sim/dataset.h"
+#include "sim/snapshot_speed_field.h"
 
 using namespace deepod;
 
@@ -132,13 +136,32 @@ int main(int argc, char** argv) {
 
   std::vector<obs::Record> records;
 
+  // The deployment of the model: its artifact, with the speed field frozen
+  // over the load generator's departure window, next to its network.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path("bench_fleet_tmp");
+  fs::create_directories(root);
+  const std::string network_path = (root / "city.network.csv").string();
+  const std::string artifact_path = (root / "single.model.artifact").string();
+  io::WriteNetworkCsv(dataset.network, network_path);
+  {
+    const serve::net::LoadgenOptions defaults;
+    const sim::SnapshotSpeedField speed = sim::SnapshotSpeedField::Capture(
+        *model.speed_provider(), defaults.base_departure_time,
+        defaults.base_departure_time + defaults.departure_window_seconds);
+    io::WriteModelArtifact(artifact_path, model, &speed);
+  }
+  const auto single_city = [&] {
+    return serve::FleetRouter::ForArtifact(artifact_path, network_path,
+                                           serve::FleetRouterOptions{});
+  };
+
   // --- Steady state: under capacity, nothing should shed --------------------
   {
-    serve::EtaService service(model, serve::EtaServiceOptions{});
+    const auto fleet = single_city();
     serve::net::ServerOptions server_options;
-    server_options.num_segments = dataset.network.num_segments();
     server_options.executors = 2;
-    serve::net::DeepOdServer server(service, server_options);
+    serve::net::DeepOdServer server(*fleet, server_options);
     server.Start();
 
     serve::net::LoadgenOptions load;
@@ -160,15 +183,14 @@ int main(int argc, char** argv) {
   // the admitted slice keeps a bounded p99 because the backlog can never
   // exceed queue_capacity.
   {
-    serve::EtaService service(model, serve::EtaServiceOptions{});
+    const auto fleet = single_city();
     serve::net::ServerOptions server_options;
-    server_options.num_segments = dataset.network.num_segments();
     server_options.executors = 1;
     server_options.admission.queue_capacity = 64;
     server_options.admission.num_tenants = 4;
     server_options.admission.tenant_rate = 100.0;
     server_options.admission.tenant_burst = 50.0;
-    serve::net::DeepOdServer server(service, server_options);
+    serve::net::DeepOdServer server(*fleet, server_options);
     server.Start();
 
     serve::net::LoadgenOptions load;
@@ -268,10 +290,6 @@ int main(int argc, char** argv) {
 
   // --- Cold-shard availability under both fallback policies ------------------
   {
-    namespace fs = std::filesystem;
-    const fs::path root = fs::path("bench_fleet_tmp");
-    fs::create_directories(root);
-    io::WriteNetworkCsv(dataset.network, (root / "city.network.csv").string());
     io::WriteOracleArtifact((root / "city.oracle.artifact").string(), 1,
                             &oracle, &links);
     for (const char* policy : {"oracle", "model"}) {
@@ -284,7 +302,7 @@ int main(int argc, char** argv) {
             << policy << "\n";  // model artifact deliberately absent: cold
       }
       serve::FleetRouterOptions router_options;
-      router_options.activation_poll = std::chrono::milliseconds(600000);
+      router_options.reloader.poll_interval = std::chrono::milliseconds(600000);
       serve::FleetRouter router(serve::ReadFleetManifest(manifest.string()),
                                 router_options);
       serve::net::ServerOptions server_options;

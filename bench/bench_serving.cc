@@ -12,21 +12,17 @@
 //     without AVX2, see nn/simd.h).
 //   - serving/cache/capacity=C/{qps,hit_rate}: EtaService cache sweep over a
 //     skewed stream; hit_rate records carry the hit fraction in
-//     wall_seconds (it is a ratio, not a time).
-//   - serving/microbatch/qps: TrySubmit through the bounded queue and the
-//     dispatcher's micro-batching (bounded-wait retries on backpressure).
+//     wall_seconds (it is a ratio, not a time). The largest-cache service's
+//     obs-exported stats go to BENCH_serving_stats.json.
 //   - serving/quant/<mode>/{qps,mae}: EtaService::FromArtifact with fp64,
 //     fp16 and int8 weights on the kSimd tier; mae records carry the mean
 //     absolute ETA error in seconds vs. the fp64 answers in wall_seconds
 //     (it is an error, not a time — bench_compare skips *mae* records).
 // Usage: bench_serving [num_queries]  (default 2000; CI smoke passes 200).
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <future>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -158,7 +154,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Kernel-tier sweep -----------------------------------------------------
-  // PredictBatch at the service's default micro-batch size under each
+  // PredictBatch at the server's default batch size (32) under each
   // predict-side kernel tier. kSimd runs the packed AVX2 GEMV kernels when
   // the host supports them (backend printed below) and the kVector path
   // otherwise, so the record exists on every host.
@@ -209,39 +205,13 @@ int main(int argc, char** argv) {
         "serving/cache/capacity=" + std::to_string(capacity);
     records.push_back({prefix + "/qps", secs, 1, n / secs});
     records.push_back({prefix + "/hit_rate", hit_rate, 1, 0.0});
-  }
-
-  // --- Micro-batched TrySubmit -----------------------------------------------
-  {
-    serve::EtaServiceOptions options;
-    options.batch_threads = auto_threads;
-    serve::EtaService service(model, options);
-    std::vector<std::future<double>> futures;
-    futures.reserve(stream.size());
-    sw.Reset();
-    for (const auto& od : stream) {
-      // The primary bounded-wait API; a full queue is backpressure, not an
-      // error — keep retrying like a producer that cannot shed.
-      std::optional<std::future<double>> f;
-      while (!(f = service.TrySubmit(od, std::chrono::milliseconds(100)))) {
-      }
-      futures.push_back(std::move(*f));
+    if (capacity == 1024) {
+      // The obs-exported serving stats share the BENCH-json schema, so the
+      // same validator covers them (tools/validate_bench_json.py).
+      std::ofstream stats_out("BENCH_serving_stats.json");
+      stats_out << service.ExportJson();
+      std::fprintf(stderr, "[bench] wrote BENCH_serving_stats.json\n");
     }
-    for (auto& f : futures) sink += f.get();
-    const double secs = sw.ElapsedSeconds();
-    const auto stats = service.StatsSnapshot();
-    std::printf(
-        "TrySubmit micro-batching:  %8.0f queries/s  avg batch %.1f  "
-        "p50 %.3f ms  p99 %.3f ms\n",
-        n / secs, stats.avg_batch_size, stats.p50_ms, stats.p99_ms);
-    records.push_back(
-        {"serving/microbatch/qps", secs, auto_threads, n / secs});
-
-    // The obs-exported serving stats share the BENCH-json schema, so the
-    // same validator covers them (tools/validate_bench_json.py).
-    std::ofstream stats_out("BENCH_serving_stats.json");
-    stats_out << service.ExportJson();
-    std::fprintf(stderr, "[bench] wrote BENCH_serving_stats.json\n");
   }
 
   // --- Quantised serving -----------------------------------------------------

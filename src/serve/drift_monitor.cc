@@ -9,10 +9,12 @@ DriftMonitor::DriftMonitor(const DriftMonitorOptions& options,
     : options_(options),
       trigger_(std::move(trigger)),
       rolling_(options.window),
-      observations_(registry_.counter("drift/observations")),
-      triggers_(registry_.counter("drift/retrain_triggers")),
-      mae_gauge_(registry_.gauge("drift/rolling_mae")),
-      abs_error_(registry_.histogram("drift/abs_error")) {}
+      observations_(
+          registry_.counter(options.registry_prefix + "observations")),
+      triggers_(
+          registry_.counter(options.registry_prefix + "retrain_triggers")),
+      mae_gauge_(registry_.gauge(options.registry_prefix + "rolling_mae")),
+      abs_error_(registry_.histogram(options.registry_prefix + "abs_error")) {}
 
 void DriftMonitor::Observe(double predicted_seconds, double actual_seconds) {
   const double abs_error = std::fabs(predicted_seconds - actual_seconds);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "obs/metrics.h"
 
@@ -22,14 +23,18 @@ struct DriftMonitorOptions {
   // Observations required before the trigger may fire — a half-warm window
   // of three unlucky trips is noise, not drift.
   size_t min_observations = 32;
+
+  // Prefix of every metric name in the monitor's registry. A fleet gives
+  // each city's monitor its own ("drift/<city>/").
+  std::string registry_prefix = "drift/";
 };
 
 // Drift detection for the serving stack: rolling MAE of served predictions
 // against later-observed actual travel times. The server's ObserveTrip
 // ingest path feeds it — each observed trip carries the actual duration,
 // the monitor re-scores it against what the service currently predicts —
-// and the rolling MAE is exported as the "drift/rolling_mae" gauge through
-// the unified stats surface (serve::ExportStats), so a weather shock shows
+// and the rolling MAE is exported as the "rolling_mae" gauge through the
+// unified stats surface (serve::ExportStatsJson), so a weather shock shows
 // up as a rising gauge on the same stats frame operators already scrape.
 //
 // Retrain hook: when the rolling MAE crosses `trigger_mae` from below
@@ -38,7 +43,8 @@ struct DriftMonitorOptions {
 // retrain pipeline. The callback runs on the observing thread and must not
 // block.
 //
-// Thread-safe; instruments live in a private registry under "drift/".
+// Thread-safe; instruments live in a private registry under the options'
+// prefix ("drift/" by default).
 class DriftMonitor {
  public:
   using RetrainTrigger = std::function<void(double rolling_mae)>;

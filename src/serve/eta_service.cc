@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.h"
 #include "serve/stats.h"
 
 namespace deepod::serve {
@@ -33,7 +32,6 @@ EtaService::EtaService(std::shared_ptr<ServingState> initial,
       batched_requests_(
           registry_.counter(options.registry_prefix + "batched_requests")),
       swaps_(registry_.counter(options.registry_prefix + "swaps")),
-      queue_depth_(registry_.gauge(options.registry_prefix + "queue_depth")),
       epoch_gauge_(registry_.gauge(options.registry_prefix + "epoch")),
       ocode_hits_(registry_.gauge(options.registry_prefix + "ocode_hits")),
       ocode_head_runs_(
@@ -43,23 +41,16 @@ EtaService::EtaService(std::shared_ptr<ServingState> initial,
       ocode_traffic_codes_(
           registry_.gauge(options.registry_prefix + "ocode_traffic_codes")),
       latency_(registry_.histogram(options.registry_prefix + "latency")),
-      queue_wait_(registry_.histogram(options.registry_prefix + "queue_wait")),
       batch_assembly_(
           registry_.histogram(options.registry_prefix + "batch_assembly")),
       start_time_(std::chrono::steady_clock::now()) {
   if (!initial || initial->model == nullptr) {
     throw std::invalid_argument("EtaService: null serving state");
   }
-  if (options_.max_batch == 0) options_.max_batch = 1;
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.ratio_bucket <= 0.0) options_.ratio_bucket = 0.05;
   initial->epoch = last_epoch_;  // construction epoch 0
   state_ = std::move(initial);
   epoch_gauge_.Set(0.0);
-  if (options_.batch_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.batch_threads);
-  }
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
 std::unique_ptr<EtaService> EtaService::FromArtifact(
@@ -69,16 +60,6 @@ std::unique_ptr<EtaService> EtaService::FromArtifact(
   artifact_options.quant = options.quant;
   return std::make_unique<EtaService>(
       LoadServingState(artifact_path, network, artifact_options), options);
-}
-
-EtaService::~EtaService() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    stopping_ = true;
-  }
-  queue_not_empty_.notify_all();
-  queue_not_full_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
 }
 
 std::shared_ptr<const ServingState> EtaService::state() const {
@@ -175,30 +156,6 @@ double EtaService::Estimate(const traj::OdInput& od) {
   return eta;
 }
 
-std::optional<std::future<double>> EtaService::TrySubmit(
-    const traj::OdInput& od, std::chrono::nanoseconds timeout) {
-  Pending pending;
-  pending.od = od;
-  pending.enqueued = std::chrono::steady_clock::now();
-  std::future<double> future = pending.promise.get_future();
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    const bool room = queue_not_full_.wait_for(lock, timeout, [this] {
-      return stopping_ || queue_.size() < options_.queue_capacity;
-    });
-    if (!room) return std::nullopt;  // still full after `timeout`: shed
-    if (stopping_) {
-      pending.promise.set_exception(std::make_exception_ptr(
-          std::runtime_error("EtaService: shutting down")));
-      return future;
-    }
-    queue_.push_back(std::move(pending));
-    queue_depth_.Set(static_cast<double>(queue_.size()));
-  }
-  queue_not_empty_.notify_one();
-  return future;
-}
-
 std::vector<double> EtaService::EstimateBatch(
     std::span<const traj::OdInput> ods, util::ThreadPool* pool) {
   if (ods.empty()) return {};
@@ -245,91 +202,6 @@ std::vector<double> EtaService::EstimateBatch(
   return out;
 }
 
-void EtaService::PauseDispatcherForTest(bool paused) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    paused_for_test_ = paused;
-  }
-  queue_not_empty_.notify_all();
-}
-
-void EtaService::DispatchLoop() {
-  std::vector<Pending> batch;
-  batch.reserve(options_.max_batch);
-  for (;;) {
-    batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_not_empty_.wait(lock, [this] {
-        return stopping_ || (!paused_for_test_ && !queue_.empty());
-      });
-      if (queue_.empty()) return;  // stopping, queue drained
-      const size_t take = std::min(options_.max_batch, queue_.size());
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      queue_depth_.Set(static_cast<double>(queue_.size()));
-    }
-    queue_not_full_.notify_all();
-
-    // One state snapshot per drained batch: everything below — cache keys,
-    // the forward, the answers cached back — is consistent with the epoch
-    // current at dequeue time, even while a reloader flips the pointer.
-    const std::shared_ptr<const ServingState> state = this->state();
-
-    // Batch assembly: resolve cache hits and collect the miss list; the
-    // queue-wait histogram records how long each request sat in the queue.
-    const auto assembly_start = std::chrono::steady_clock::now();
-    std::vector<size_t> miss_index;
-    std::vector<traj::OdInput> miss_ods;
-    std::vector<OdCacheKey> miss_keys;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      queue_wait_.Observe(SecondsSince(batch[i].enqueued, assembly_start));
-      const OdCacheKey key = MakeKeyForState(batch[i].od, *state);
-      if (auto cached = cache_.Get(key)) {
-        hits_.Add();
-        // Record before set_value: a caller unblocked by the future may
-        // read StatsSnapshot immediately and must see this request counted.
-        RecordCompletion(batch[i].enqueued);
-        batch[i].promise.set_value(*cached);
-      } else {
-        misses_.Add();
-        miss_index.push_back(i);
-        miss_ods.push_back(batch[i].od);
-        miss_keys.push_back(key);
-      }
-    }
-    const auto assembly_end = std::chrono::steady_clock::now();
-    batch_assembly_.Observe(SecondsSince(assembly_start, assembly_end));
-    if (obs::TraceEnabled()) {
-      obs::AppendTraceEvent("serve/batch_assembly", assembly_start,
-                            assembly_end);
-    }
-    if (!miss_ods.empty()) {
-      std::vector<double> etas;
-      if (options_.kernel_mode.has_value()) {
-        // PredictBatch pool workers inherit the dispatcher's mode.
-        const nn::KernelModeScope scope(*options_.kernel_mode);
-        etas = state->model->PredictBatch(miss_ods, pool_.get());
-      } else {
-        etas = state->model->PredictBatch(miss_ods, pool_.get());
-      }
-      for (size_t m = 0; m < miss_index.size(); ++m) {
-        cache_.Put(miss_keys[m], etas[m]);
-        RecordCompletion(batch[miss_index[m]].enqueued);
-        batch[miss_index[m]].promise.set_value(etas[m]);
-      }
-      if (obs::TraceEnabled()) {
-        obs::AppendTraceEvent("serve/batch_predict", assembly_end,
-                              std::chrono::steady_clock::now());
-      }
-    }
-    batches_.Add();
-    batched_requests_.Add(batch.size());
-  }
-}
-
 EtaServiceStats EtaService::StatsSnapshot() const {
   EtaServiceStats stats;
   stats.requests = requests_.Value();
@@ -355,7 +227,7 @@ EtaServiceStats EtaService::StatsSnapshot() const {
 
 std::string EtaService::ExportJson() const {
   StatsSources sources;
-  sources.service = this;
+  sources.services.push_back(this);
   return ExportStatsJson(sources);
 }
 

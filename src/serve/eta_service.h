@@ -2,16 +2,12 @@
 #define DEEPOD_SERVE_ETA_SERVICE_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/deepod_model.h"
@@ -63,18 +59,7 @@ struct EtaServiceOptions {
   // answer; 0.05 keeps the induced error well under the model's own).
   double ratio_bucket = 0.05;
 
-  // Micro-batching: TrySubmit() enqueues into a bounded queue; a dispatcher
-  // thread drains up to `max_batch` requests at a time into one
-  // PredictBatch call. When the queue holds `queue_capacity` requests the
-  // enqueue waits out its timeout, then sheds (back-pressure, no unbounded
-  // growth).
-  size_t max_batch = 32;
-  size_t queue_capacity = 1024;
-  // Worker threads for the batched forward (1 = run inline on the
-  // dispatcher thread).
-  size_t batch_threads = 1;
-
-  // Kernel tier used for inference (Estimate and the batched dispatcher;
+  // Kernel tier used for inference (Estimate and EstimateBatch;
   // PredictBatch workers inherit it). Unset = leave the thread's mode alone
   // — the historical behaviour, which keeps the service bit-identical to
   // direct DeepOdModel::Predict calls in the ambient mode. kSimd is always
@@ -103,8 +88,8 @@ struct EtaServiceStats {
   uint64_t requests = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  uint64_t batches = 0;          // micro-batches dispatched
-  double avg_batch_size = 0.0;   // requests per dispatched batch
+  uint64_t batches = 0;          // EstimateBatch calls
+  double avg_batch_size = 0.0;   // requests per EstimateBatch call
   uint64_t swaps = 0;            // serving-state flips (SwapState)
   uint64_t epoch = 0;            // current cache generation
   double p50_ms = 0.0;
@@ -115,13 +100,15 @@ struct EtaServiceStats {
 
 // The online estimation front-end (Algorithm 1, Estimation, as a service):
 // answers OD travel-time queries from a sharded LRU cache, falling through
-// to the model's graph-free forward on a miss. Two entry points:
-//  - Estimate(): synchronous, caller-thread inference. Bit-identical to
-//    DeepOdModel::Predict for the first query of each key; later queries of
-//    the key return the cached answer.
-//  - TrySubmit(): asynchronous with bounded-wait admission; requests are
-//    micro-batched by a dispatcher thread into PredictBatch calls
-//    (amortising per-query overhead) and resolved through the same cache.
+// to the model's graph-free forward on a miss. Two entry points, both on
+// the caller's thread (the service starts no thread of its own):
+//  - Estimate(): one query. Bit-identical to DeepOdModel::Predict for the
+//    first query of each key; later queries of the key return the cached
+//    answer.
+//  - EstimateBatch(): many queries, the misses in one PredictBatch call
+//    (amortising per-query overhead), resolved through the same cache.
+//    Batch assembly and scheduling belong to the caller — the network
+//    server's admission queue and executors (serve/server).
 //
 // Live serving: the service holds its model, speed field and cache
 // generation as one immutable ServingState epoch (serving_state.h). Every
@@ -134,10 +121,10 @@ struct EtaServiceStats {
 // RollingSpeedField publish needs.
 //
 // Observability: every stat lives in a private obs::Registry under the
-// "serve/" prefix — counters for requests/hits/misses/batches/swaps, a
-// latency histogram, queue-wait and batch-assembly histograms, queue-depth
-// and epoch gauges, and the model's ocode-memo counters. The registry is
-// per-instance (stats never bleed between services) and always on.
+// "serve/" prefix — counters for requests/hits/misses/batches/swaps,
+// latency and batch-assembly histograms, an epoch gauge, and the model's
+// ocode-memo counters. The registry is per-instance (stats never bleed
+// between services) and always on.
 // StatsSnapshot() is served from the registry; ExportJson() emits the
 // shared BENCH-json schema through
 // serve::ExportStatsJson (stats.h) — the same entry point the network
@@ -153,7 +140,6 @@ class EtaService {
   // state/model.
   EtaService(std::shared_ptr<ServingState> initial,
              const EtaServiceOptions& options);
-  ~EtaService();
 
   // Stands a service up from a model artifact + road network alone: loads
   // the artifact (io::LoadModelArtifact), reconstructs a predict-only model
@@ -168,25 +154,15 @@ class EtaService {
   EtaService(const EtaService&) = delete;
   EtaService& operator=(const EtaService&) = delete;
 
-  // Synchronous estimate in seconds.
+  // Estimate in seconds.
   double Estimate(const traj::OdInput& od);
 
-  // PRIMARY async entry point: submit with a bounded enqueue wait. When the
-  // bounded queue stays full past `timeout`, returns nullopt instead of
-  // blocking the producer indefinitely — a nullopt is a signal to shed the
-  // request with a retry-after, so producer-side worst-case latency is
-  // `timeout`, not "until the dispatcher catches up". timeout 0 is a pure
-  // try-enqueue. This is the API back-pressure-aware callers (the network
-  // server's admission layer, load generators) build on.
-  std::optional<std::future<double>> TrySubmit(const traj::OdInput& od,
-                                               std::chrono::nanoseconds timeout);
-
-  // Synchronous batched estimate on the calling thread, through the same
-  // cache and metrics as Estimate(): resolves hits, runs one PredictBatch
-  // over the misses (fanned over `pool` when given), fills the cache and
-  // returns one ETA per input, in order. This is the continuous-batching
-  // executor's entry point (serve/server): the caller owns batch assembly
-  // and scheduling; the service owns cache + model + stats. Safe to call
+  // Batched estimate on the calling thread, through the same cache and
+  // metrics as Estimate(): resolves hits, runs one PredictBatch over the
+  // misses (fanned over `pool` when given), fills the cache and returns one
+  // ETA per input, in order. This is the continuous-batching executor's
+  // entry point (serve/server): the caller owns batch assembly and
+  // scheduling; the service owns cache + model + stats. Safe to call
   // from several executor threads concurrently as long as each passes its
   // own pool (or none) — util::ThreadPool does not support concurrent
   // ParallelFor calls on one pool. The whole batch is answered from one
@@ -237,26 +213,13 @@ class EtaService {
   // request paths key against the state they already hold).
   OdCacheKey MakeKey(const traj::OdInput& od) const;
 
-  // Test-only: parks the dispatcher so tests can fill the bounded queue
-  // deterministically (TrySubmit timeout coverage). Unpausing resumes the
-  // normal drain; pending futures then resolve as usual.
-  void PauseDispatcherForTest(bool paused);
-
  private:
-  struct Pending {
-    traj::OdInput od;
-    std::promise<double> promise;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
   OdCacheKey MakeKeyForState(const traj::OdInput& od,
                              const ServingState& state) const;
-  void DispatchLoop();
   void RecordCompletion(std::chrono::steady_clock::time_point start);
 
   EtaServiceOptions options_;
   util::ShardedLruCache<OdCacheKey, double, OdCacheKeyHash> cache_;
-  std::unique_ptr<util::ThreadPool> pool_;  // batched-forward workers
 
   // The published serving epoch (see state()/SwapState). A plain mutex
   // guards the pointer flip; readers pay one uncontended lock per unit of
@@ -273,24 +236,13 @@ class EtaService {
   obs::Counter& batches_;
   obs::Counter& batched_requests_;
   obs::Counter& swaps_;
-  obs::Gauge& queue_depth_;
   obs::Gauge& epoch_gauge_;
   obs::Gauge& ocode_hits_;
   obs::Gauge& ocode_head_runs_;
   obs::Gauge& ocode_cnn_runs_;
   obs::Gauge& ocode_traffic_codes_;
   obs::Histogram& latency_;         // request completion latency (seconds)
-  obs::Histogram& queue_wait_;      // TrySubmit enqueue -> dispatcher dequeue
   obs::Histogram& batch_assembly_;  // cache resolution + miss-batch build
-
-  // Bounded request queue (TrySubmit side).
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_not_empty_;
-  std::condition_variable queue_not_full_;
-  std::deque<Pending> queue_;
-  bool stopping_ = false;
-  bool paused_for_test_ = false;
-  std::thread dispatcher_;
 
   std::chrono::steady_clock::time_point start_time_;
 };

@@ -40,6 +40,13 @@ std::string ResolvePath(const std::string& base_dir, const std::string& path) {
   return base_dir + path;
 }
 
+DriftMonitorOptions ShardDriftOptions(const FleetRouterOptions& options,
+                                      const std::string& name) {
+  DriftMonitorOptions drift = options.drift;
+  drift.registry_prefix = "drift/" + name + "/";
+  return drift;
+}
+
 std::vector<std::string> SplitCsvLine(const std::string& line) {
   std::vector<std::string> fields;
   std::string field;
@@ -130,9 +137,14 @@ std::vector<FleetEntry> ReadFleetManifest(const std::string& path) {
 
 // --- FleetShard -------------------------------------------------------------
 
-FleetShard::FleetShard(FleetEntry entry, obs::Registry& fleet_registry)
+FleetShard::FleetShard(FleetEntry entry, obs::Registry& fleet_registry,
+                       const FleetRouterOptions& options)
     : entry_(std::move(entry)),
       network_(io::ReadNetworkCsv(entry_.network_path)),
+      drift_(ShardDriftOptions(options, entry_.name),
+             [this, on_trigger = options.on_drift_trigger](double mae) {
+               if (on_trigger) on_trigger(*this, mae);
+             }),
       model_answers_(
           fleet_registry.counter("fleet/" + entry_.name + "/model_answers")),
       oracle_answers_(
@@ -151,6 +163,24 @@ FleetShard::FleetShard(FleetEntry entry, obs::Registry& fleet_registry)
 std::shared_ptr<EtaService> FleetShard::service() const {
   std::lock_guard<std::mutex> lock(mu_);
   return service_;
+}
+
+sim::RollingSpeedField* FleetShard::rolling_field() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return rolling_.get();
+}
+
+bool FleetShard::PublishLiveSpeed() {
+  sim::RollingSpeedField* rolling;
+  std::shared_ptr<EtaService> service;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    rolling = rolling_.get();
+    service = service_;
+  }
+  if (rolling == nullptr || rolling->Publish() == 0) return false;
+  service->BumpEpoch();
+  return true;
 }
 
 std::optional<FleetShard::Fallback> FleetShard::FallbackEstimate(
@@ -191,15 +221,10 @@ void FleetShard::AdoptEstimators(
   }
 }
 
-void FleetShard::Publish(std::shared_ptr<EtaService> service,
-                         std::unique_ptr<ModelReloader> reloader) {
-  std::lock_guard<std::mutex> lock(mu_);
-  service_ = std::move(service);
-  reloader_ = std::move(reloader);
-  cold_.Set(0.0);
-}
-
 // --- FleetRouter ------------------------------------------------------------
+
+FleetRouter::FleetRouter(const FleetRouterOptions& options)
+    : options_(options) {}
 
 FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
                          const FleetRouterOptions& options)
@@ -208,10 +233,7 @@ FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
     throw std::invalid_argument("FleetRouter: empty fleet");
   }
   shards_.reserve(entries.size());
-  for (FleetEntry& entry : entries) {
-    shards_.push_back(
-        std::make_unique<FleetShard>(std::move(entry), registry_));
-  }
+  for (FleetEntry& entry : entries) AddShard(std::move(entry));
 
   for (auto& shard : shards_) {
     // The standalone oracle artifact, when the manifest names one: this is
@@ -239,7 +261,45 @@ FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
     if (sig.exists) TryActivate(*shard, sig);
   }
 
-  watcher_ = std::thread([this] { ActivationLoop(); });
+  StartWatcher();
+}
+
+std::unique_ptr<FleetRouter> FleetRouter::ForArtifact(
+    const std::string& artifact_path, const std::string& network_path,
+    const FleetRouterOptions& options) {
+  FleetEntry entry;
+  entry.name = "default";
+  entry.network_path = network_path;
+  entry.artifact_path = artifact_path;
+  entry.policy = FallbackPolicy::kModel;
+  std::unique_ptr<FleetRouter> router(new FleetRouter(options));
+  FleetShard& shard = router->AddShard(std::move(entry));
+  std::shared_ptr<ServingState> state = router->LoadState(shard);
+  // No request has been routed yet: the row takes the artifact's stamp.
+  shard.entry_.network_id = state->bundle->network_id;
+  router->Activate(shard, std::move(state));
+  return router;
+}
+
+std::shared_ptr<ServingState> FleetRouter::LoadState(
+    const FleetShard& shard) const {
+  io::ArtifactOptions artifact_options;
+  artifact_options.quant = options_.service.quant;
+  return LoadServingState(shard.entry_.artifact_path, shard.network_,
+                          artifact_options);
+}
+
+FleetShard& FleetRouter::AddShard(FleetEntry entry) {
+  shards_.push_back(
+      std::make_unique<FleetShard>(std::move(entry), registry_, options_));
+  return *shards_.back();
+}
+
+void FleetRouter::StartWatcher() {
+  // Activation is one-way: a fleet that starts fully warm never needs it.
+  if (WarmCount() < shards_.size()) {
+    watcher_ = std::thread([this] { ActivationLoop(); });
+  }
 }
 
 FleetRouter::~FleetRouter() { Stop(); }
@@ -253,8 +313,14 @@ void FleetRouter::Stop() {
   stop_cv_.notify_all();
   if (watcher_.joinable()) watcher_.join();
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu_);
-    if (shard->reloader_ != nullptr) shard->reloader_->Stop();
+    // Joined outside the shard lock: the reloader's prepare hook may run
+    // the on_reload callback, which is free to look at the shard.
+    ModelReloader* reloader;
+    {
+      std::lock_guard<std::mutex> lock(shard->mu_);
+      reloader = shard->reloader_.get();
+    }
+    if (reloader != nullptr) reloader->Stop();
   }
 }
 
@@ -290,10 +356,7 @@ bool FleetRouter::TryActivate(FleetShard& shard,
   shard.attempted_sig_ = sig;
   std::shared_ptr<ServingState> state;
   try {
-    io::ArtifactOptions artifact_options;
-    artifact_options.quant = options_.service.quant;
-    state = LoadServingState(shard.entry_.artifact_path, shard.network_,
-                             artifact_options);
+    state = LoadState(shard);
     // A manifest/artifact mismatch (artifact trained for another city) is a
     // load failure, not a serving state: the oracle keeps answering.
     const uint32_t artifact_id =
@@ -307,12 +370,33 @@ bool FleetRouter::TryActivate(FleetShard& shard,
     shard.activation_failures_.Add();
     return false;
   }
+  Activate(shard, std::move(state));
+  return true;
+}
 
+void FleetRouter::Activate(FleetShard& shard,
+                           std::shared_ptr<ServingState> state) {
   // The artifact's embedded fallback estimators back-fill a shard that had
   // no standalone oracle artifact.
-  if (state->bundle != nullptr) {
-    shard.AdoptEstimators(std::move(state->bundle->oracle),
-                          std::move(state->bundle->link_mean));
+  shard.AdoptEstimators(std::move(state->bundle->oracle),
+                        std::move(state->bundle->link_mean));
+
+  std::unique_ptr<sim::RollingSpeedField> rolling;
+  std::shared_ptr<const ServingState> pinned;
+  if (options_.live_speed) {
+    // The artifact's frozen field is the baseline every unobserved cell
+    // falls through to, so the served answers only change once observations
+    // are published; the construction state stays pinned because the field
+    // points into its bundle, which later swaps would otherwise free.
+    const sim::SpeedProvider* baseline = state->bundle->speed.get();
+    const double snapshot_seconds = baseline != nullptr
+                                        ? baseline->snapshot_seconds()
+                                        : state->bundle->config.slot_seconds;
+    rolling = std::make_unique<sim::RollingSpeedField>(
+        shard.network_, options_.live_speed->grid_m, snapshot_seconds,
+        baseline, options_.live_speed->field);
+    state->model->SetSpeedProvider(rolling.get());
+    pinned = state;
   }
 
   EtaServiceOptions service_options = options_.service;
@@ -324,20 +408,32 @@ bool FleetRouter::TryActivate(FleetShard& shard,
   if (options_.watch) {
     ModelReloaderOptions reloader_options = options_.reloader;
     reloader_options.artifact.quant = options_.service.quant;
+    reloader_options.registry_prefix = "reload/" + shard.name() + "/";
     reloader = std::make_unique<ModelReloader>(
         *service, shard.entry_.artifact_path, shard.network_,
-        reloader_options);
+        reloader_options,
+        [this, &shard, live = rolling.get()](ServingState& fresh) {
+          // Swapped-in models serve live speeds from their first request.
+          if (live != nullptr) fresh.model->SetSpeedProvider(live);
+          if (options_.on_reload) options_.on_reload(shard);
+        });
   }
-  shard.Publish(std::move(service), std::move(reloader));
+  {
+    std::lock_guard<std::mutex> lock(shard.mu_);
+    shard.pinned_state_ = std::move(pinned);
+    shard.rolling_ = std::move(rolling);
+    shard.service_ = std::move(service);
+    shard.reloader_ = std::move(reloader);
+    shard.cold_.Set(0.0);
+  }
   if (options_.on_activate) options_.on_activate(shard);
-  return true;
 }
 
 void FleetRouter::ActivationLoop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(stop_mu_);
-      if (stop_cv_.wait_for(lock, options_.activation_poll,
+      if (stop_cv_.wait_for(lock, options_.reloader.poll_interval,
                             [this] { return stopping_; })) {
         return;
       }
@@ -364,14 +460,14 @@ void FleetRouter::ActivationLoop() {
 void FleetRouter::AppendStatsSources(StatsSources* sources) const {
   sources->extra.push_back(&registry_);
   for (const auto& shard : shards_) {
+    sources->extra.push_back(&shard->drift_.registry());
     std::lock_guard<std::mutex> lock(shard->mu_);
     if (shard->service_ != nullptr) {
       sources->services.push_back(shard->service_.get());
     }
-    // Shard reloader registries are deliberately skipped: their "reload/*"
-    // names are not per-city and would collide across shards in the merged
-    // name-sorted export. Per-city reload health shows up as epoch bumps in
-    // "serve/<city>/swaps".
+    if (shard->reloader_ != nullptr) {
+      sources->extra.push_back(&shard->reloader_->registry());
+    }
   }
 }
 

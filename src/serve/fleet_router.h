@@ -16,10 +16,12 @@
 #include "baselines/path_tte.h"
 #include "obs/metrics.h"
 #include "road/road_network.h"
+#include "serve/drift_monitor.h"
 #include "serve/eta_service.h"
 #include "serve/model_reloader.h"
 #include "serve/server/frame.h"
 #include "serve/stats.h"
+#include "sim/rolling_speed_field.h"
 #include "traj/trajectory.h"
 
 namespace deepod::serve {
@@ -31,7 +33,7 @@ namespace deepod::serve {
 enum class FallbackPolicy : uint8_t {
   // No fallback tier: cold requests get a typed kShardCold rejection, shed
   // requests their shed status, OOD requests the model's extrapolation —
-  // the historical single-city behaviour.
+  // the policy of a single-city deployment (FleetRouter::ForArtifact).
   kModel = 0,
   // The oracle tier (OD histogram, else link-mean) answers on all three
   // triggers, tagged with the estimator that produced the ETA. Default.
@@ -68,31 +70,53 @@ std::vector<FleetEntry> ReadFleetManifest(const std::string& path);
 
 class FleetShard;
 
+// A live speed field per warm shard (deepod_server --live-speed).
+struct LiveSpeedOptions {
+  double grid_m = 200.0;  // sim::DatasetConfig::speed_grid_m default
+  sim::RollingSpeedField::Options field;
+};
+
 struct FleetRouterOptions {
   // Per-shard EtaService options. registry_prefix is overridden per city
   // ("serve/<name>/") so the merged stats export stays collision-free.
   EtaServiceOptions service;
   // Watch each warm shard's artifact path and hot swap on change
   // (per-city ModelReloader — swaps stay independent across cities).
+  // reloader.registry_prefix is overridden per city ("reload/<name>/").
+  // reloader.poll_interval is also the cadence at which cold shards'
+  // artifact paths are polled for activation.
   bool watch = false;
   ModelReloaderOptions reloader;
-  // Cold-shard activation poll cadence (artifact appearing after startup).
-  std::chrono::milliseconds activation_poll{200};
+  // Set: every shard that goes warm gets a RollingSpeedField over its
+  // network, fed by ObserveTrip frames (FleetShard::rolling_field) and
+  // served by its model and every model its reloader swaps in.
+  std::optional<LiveSpeedOptions> live_speed;
+  // Every shard's drift monitor. registry_prefix is overridden per city
+  // ("drift/<name>/").
+  DriftMonitorOptions drift;
   // Invoked on the activating thread each time a cold shard goes warm
   // (deepod_server prints its operator-visible activation line here).
   std::function<void(const FleetShard&)> on_activate;
+  // Invoked on a shard reloader's watcher thread after a reloaded artifact
+  // loaded and validated, right before it goes live.
+  std::function<void(const FleetShard&)> on_reload;
+  // Invoked when a shard's drift monitor fires its retrain trigger, on the
+  // observing thread; must not block.
+  std::function<void(const FleetShard&, double rolling_mae)> on_drift_trigger;
 };
 
-// One city of the fleet: its road network, its fallback estimators and —
-// once an artifact loads — its EtaService shard (own ServingState, cache
-// epoch, obs registry and, in watch mode, ModelReloader). Created cold when
+// One city of the fleet: its road network, its fallback estimators, its
+// drift monitor and — once an artifact loads — its EtaService shard (own
+// ServingState, cache epoch, obs registry and, in watch mode,
+// ModelReloader; with live speed, its RollingSpeedField). Created cold when
 // the artifact is missing or unreadable at startup; the router's activation
 // watcher brings it warm the moment a loadable artifact appears. A shard
 // never goes warm → cold: activation is one-way, and later artifact changes
 // are the per-shard reloader's job.
 class FleetShard {
  public:
-  FleetShard(FleetEntry entry, obs::Registry& fleet_registry);
+  FleetShard(FleetEntry entry, obs::Registry& fleet_registry,
+             const FleetRouterOptions& options);
 
   // Identity of an artifact file as far as stat can see (activation
   // watcher; mirrors the ModelReloader's signature).
@@ -134,7 +158,18 @@ class FleetShard {
   void CountOodToOracle() { ood_to_oracle_.Add(); }
   void CountRejected() { rejected_.Add(); }
 
-  const ModelReloader* reloader() const { return reloader_.get(); }
+  // Rolling MAE of re-scored ObserveTrip trips ("drift/<name>/*").
+  DriftMonitor& drift() { return drift_; }
+
+  // The live speed field ObserveTrip observations are ingested into; null
+  // without live speed or while cold.
+  sim::RollingSpeedField* rolling_field() const;
+
+  // Folds the ingested observations into the served matrices and, when
+  // anything new arrived, bumps the service's cache epoch (which also drops
+  // the model's ocode memo). Returns whether it published. No-op without a
+  // live speed field.
+  bool PublishLiveSpeed();
 
  private:
   friend class FleetRouter;
@@ -143,14 +178,18 @@ class FleetShard {
   // oracle tables are static per city).
   void AdoptEstimators(std::unique_ptr<baselines::OdOracle> oracle,
                        std::unique_ptr<baselines::LinkMeanEstimator> links);
-  // Publishes the service built from a freshly loaded state (cold → warm).
-  void Publish(std::shared_ptr<EtaService> service,
-               std::unique_ptr<ModelReloader> reloader);
 
   FleetEntry entry_;
   road::RoadNetwork network_;
+  DriftMonitor drift_;
 
+  // Written once, under mu_, when the shard goes warm. Declared in
+  // destruction order: the reloader stops before the service goes, and
+  // every model reading the rolling field goes before the field, whose
+  // baseline points into the pinned construction state's bundle.
   mutable std::mutex mu_;
+  std::shared_ptr<const ServingState> pinned_state_;  // live speed only
+  std::unique_ptr<sim::RollingSpeedField> rolling_;
   std::shared_ptr<EtaService> service_;        // null while cold
   std::unique_ptr<ModelReloader> reloader_;    // watch mode, after warm
   std::shared_ptr<const baselines::OdOracle> oracle_;
@@ -171,10 +210,11 @@ class FleetShard {
 
 // The multi-city front of the serving stack: owns one FleetShard per
 // manifest row, resolves requests by wire network_id, and runs the
-// cold-shard activation watcher. The network server (serve/server) holds a
-// FleetRouter instead of a single EtaService in fleet mode; the admission
-// queue stays shared across cities (one PopBatch scheduler, per-tenant
-// quotas unchanged) and the executor groups each drained batch by shard.
+// cold-shard activation watcher. The network server (serve/server) serves
+// every deployment through a FleetRouter — a single city is a one-row
+// fleet (ForArtifact); the admission queue stays shared across cities (one
+// PopBatch scheduler, per-tenant quotas unchanged) and the executor groups
+// each drained batch by shard.
 //
 // Loading at construction: every network.csv is read eagerly (a missing
 // network is a hard error — routing is impossible without it); every
@@ -182,12 +222,23 @@ class FleetShard {
 // artifact is *attempted* — a missing or corrupt artifact leaves that
 // shard cold (counted in "fleet/<name>/activation_failures", gauge
 // "fleet/<name>/cold" = 1) and the rest of the fleet serving, which is the
-// partial-failure behaviour the oracle tier exists for.
+// partial-failure behaviour the oracle tier exists for. The activation
+// watcher runs only while some shard is cold.
 class FleetRouter {
  public:
   FleetRouter(std::vector<FleetEntry> entries,
               const FleetRouterOptions& options);
   ~FleetRouter();
+
+  // The one-row fleet of a single-city deployment (deepod_server
+  // --artifact): row "default", routed by the artifact's own network_id
+  // stamp, no oracle artifact, policy kModel. Unlike a manifest row, the
+  // artifact must load: a single city has nothing to fall back on, so a
+  // corrupt or mismatched artifact throws nn::SerializeError (a missing
+  // network file std::runtime_error).
+  static std::unique_ptr<FleetRouter> ForArtifact(
+      const std::string& artifact_path, const std::string& network_path,
+      const FleetRouterOptions& options);
 
   FleetRouter(const FleetRouter&) = delete;
   FleetRouter& operator=(const FleetRouter&) = delete;
@@ -208,17 +259,30 @@ class FleetRouter {
   // Stops the activation watcher and every shard reloader (idempotent).
   void Stop();
 
-  // Adds the router's registry to `sources->extra` and every warm shard's
-  // service to `sources->services` for the merged stats export.
+  // Adds every warm shard's service to `sources->services`, and the
+  // router's registry plus every shard's reloader and drift monitor
+  // registries to `sources->extra`, for the merged stats export.
   void AppendStatsSources(StatsSources* sources) const;
 
   const obs::Registry& registry() const { return registry_; }
 
  private:
+  explicit FleetRouter(const FleetRouterOptions& options);
+
+  // Reads the row's network and appends its (cold) shard.
+  FleetShard& AddShard(FleetEntry entry);
+  // Loads the shard's artifact against its network; throws
+  // nn::SerializeError on a corrupt or mismatched file.
+  std::shared_ptr<ServingState> LoadState(const FleetShard& shard) const;
+  // Starts the activation watcher when some shard is cold.
+  void StartWatcher();
   void ActivationLoop();
   // Attempts to load `shard`'s artifact and publish its service. `sig` is
   // remembered as attempted so a corrupt file is not re-tried every poll.
   bool TryActivate(FleetShard& shard, const FleetShard::FileSig& sig);
+  // Builds and publishes the warm shard around a loaded state: fallback
+  // estimators, live speed field, service, reloader (cold → warm).
+  void Activate(FleetShard& shard, std::shared_ptr<ServingState> state);
 
   FleetRouterOptions options_;
   std::vector<std::unique_ptr<FleetShard>> shards_;

@@ -18,11 +18,12 @@ ModelReloader::ModelReloader(EtaService& service, std::string artifact_path,
       network_(network),
       options_(options),
       prepare_(std::move(prepare)),
-      polls_(registry_.counter("reload/polls")),
-      reloads_(registry_.counter("reload/reloads")),
-      failures_(registry_.counter("reload/failures")),
-      healthy_(registry_.gauge("reload/healthy")),
-      load_seconds_(registry_.histogram("reload/load_seconds")) {
+      polls_(registry_.counter(options.registry_prefix + "polls")),
+      reloads_(registry_.counter(options.registry_prefix + "reloads")),
+      failures_(registry_.counter(options.registry_prefix + "failures")),
+      healthy_(registry_.gauge(options.registry_prefix + "healthy")),
+      load_seconds_(
+          registry_.histogram(options.registry_prefix + "load_seconds")) {
   if (options_.poll_interval <= std::chrono::milliseconds(0)) {
     options_.poll_interval = std::chrono::milliseconds(200);
   }

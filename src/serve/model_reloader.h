@@ -32,6 +32,11 @@ struct ModelReloaderOptions {
 
   // Load options (weight quantisation) applied to every reload.
   io::ArtifactOptions artifact;
+
+  // Prefix of every metric name in the reloader's registry. A fleet gives
+  // each city's reloader its own ("reload/<city>/") so the merged stats
+  // export stays collision-free.
+  std::string registry_prefix = "reload/";
 };
 
 // The ArtifactWatcher half of zero-downtime serving: polls an artifact path
@@ -47,8 +52,8 @@ struct ModelReloaderOptions {
 // checksum mismatch, wrong network) leaves the service untouched on its
 // current state. The failing signature is remembered so a corrupt artifact
 // is not re-tried every poll; the next *different* file content gets a
-// fresh attempt. Failures are counted ("reload/failures"), the last error
-// string is kept for Status, and the "reload/healthy" gauge drops to 0
+// fresh attempt. Failures are counted ("failures"), the last error
+// string is kept for Status, and the "healthy" gauge drops to 0
 // until a subsequent load succeeds.
 //
 // `prepare` (optional) runs on the watcher thread against the freshly
@@ -62,9 +67,10 @@ struct ModelReloaderOptions {
 // is adopted as the baseline. Any other starting condition treats the first
 // stable signature as new.
 //
-// Instruments live in a private registry under "reload/": polls, reloads,
-// failures counters, healthy gauge, load_seconds histogram — exported
-// through serve::ExportStats alongside the service's own.
+// Instruments live in a private registry under the options' prefix
+// ("reload/" by default): polls, reloads, failures counters, healthy gauge,
+// load_seconds histogram — exported through serve::ExportStatsJson
+// alongside the service's own.
 class ModelReloader {
  public:
   using PrepareFn = std::function<void(ServingState&)>;

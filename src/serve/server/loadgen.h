@@ -53,9 +53,10 @@ struct LoadgenOptions {
   uint64_t seed = 1;
 
   // Fleet routing: each request's wire network_id round-robins over this
-  // list. Empty sends network_id 0 (single-city servers ignore it). For a
-  // mixed-city run against a fleet, num_segments should be the smallest
-  // city's segment count so every OD pair is valid on every shard.
+  // list. Empty sends network_id 0 (the stamp of an artifact trained
+  // without --network-id). For a mixed-city run against a fleet,
+  // num_segments should be the smallest city's segment count so every OD
+  // pair is valid on every shard.
   std::vector<uint32_t> network_ids;
 
   // Workload shape: uniform OD pairs over [0, num_segments) with

@@ -1,11 +1,14 @@
 #include "serve/server/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -13,14 +16,9 @@
 #include <optional>
 #include <stdexcept>
 
-#include <map>
-
 #include "core/encoders.h"
-#include "serve/drift_monitor.h"
 #include "serve/fleet_router.h"
-#include "serve/model_reloader.h"
 #include "serve/stats.h"
-#include "sim/rolling_speed_field.h"
 
 namespace deepod::serve::net {
 namespace {
@@ -30,18 +28,33 @@ double SecondsSince(std::chrono::steady_clock::time_point start,
   return std::chrono::duration<double>(end - start).count();
 }
 
+// The request-domain contract, shared by request and observe frames: both
+// segments exist in the city's network, both position ratios lie in
+// [0, 1], the weather category is known, and the departure time lies in
+// the serving state's slot domain — outside it TimeSlotter::Slot throws or
+// overflows int64, on an executor thread. A cold shard has no serving
+// state; its fallback tier answers any finite time. NaN fails every
+// comparison, so it is rejected with the rest.
+bool ValidOd(const traj::OdInput& od, const FleetShard& shard,
+             const EtaService* service) {
+  constexpr int kWeathers =
+      static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
+  const size_t num_segments = shard.num_segments();
+  const double t = od.departure_time;
+  const bool time_ok = service != nullptr
+                           ? service->state()->slotter.Covers(t)
+                           : std::isfinite(t);
+  return od.origin_segment < num_segments &&
+         od.dest_segment < num_segments && od.origin_ratio >= 0.0 &&
+         od.origin_ratio <= 1.0 && od.dest_ratio >= 0.0 &&
+         od.dest_ratio <= 1.0 && od.weather_type >= 0 &&
+         od.weather_type < kWeathers && time_ok;
+}
+
 }  // namespace
 
-DeepOdServer::DeepOdServer(EtaService& service, const ServerOptions& options)
-    : DeepOdServer(&service, nullptr, options) {}
-
 DeepOdServer::DeepOdServer(FleetRouter& fleet, const ServerOptions& options)
-    : DeepOdServer(nullptr, &fleet, options) {}
-
-DeepOdServer::DeepOdServer(EtaService* service, FleetRouter* fleet,
-                           const ServerOptions& options)
-    : service_(service),
-      fleet_(fleet),
+    : fleet_(fleet),
       options_(options),
       admission_(options.admission),
       accepted_(registry_.counter("server/accepted_connections")),
@@ -100,6 +113,15 @@ void DeepOdServer::Start() {
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
+  // The acceptor polls the listener (non-blocking, so it can drain the
+  // backlog) and a pipe Shutdown writes to.
+  if (::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL) | O_NONBLOCK) <
+          0 ||
+      ::pipe2(wake_fds_, O_CLOEXEC) < 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error("acceptor setup failed");
+  }
 
   if (options_.batch_threads > 1) {
     for (size_t i = 0; i < options_.executors; ++i) {
@@ -120,71 +142,98 @@ void DeepOdServer::Shutdown() {
     if (!started_.load() || stopping_.load()) return;
     stopping_.store(true);
   }
-  // 1. Stop accepting. shutdown() unblocks the acceptor's accept().
-  ::shutdown(listen_fd_, SHUT_RDWR);
+  // 1. Stop accepting: wake the acceptor, which adopts what is already in
+  //    the listen backlog and exits.
+  const char wake = 0;
+  while (::write(wake_fds_[1], &wake, 1) < 0 && errno == EINTR) {
+  }
   if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
+  for (int& fd : wake_fds_) {
+    ::close(fd);
+    fd = -1;
+  }
   // 2. Shed new offers; connection readers keep answering kShuttingDown.
   admission_.SetDraining();
   // 3. Drain: executors exit once every admitted request is answered.
   for (auto& t : executor_threads_) {
     if (t.joinable()) t.join();
   }
-  // 4. Unblock and reap the connection readers.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& [id, conn] : connections_) ::shutdown(conn->fd, SHUT_RDWR);
-  }
+  // 4. Reap the connection readers. A half-close (SHUT_RD) lets a reader
+  //    still read what its client already sent, answer it kShuttingDown,
+  //    then see EOF; a reader still busy after the grace period (a client
+  //    that keeps sending or stopped reading) is cut off.
   std::unique_lock<std::mutex> lock(conns_mu_);
-  conns_done_.wait(lock, [this] { return live_connections_ == 0; });
+  for (auto& [id, conn] : connections_) ::shutdown(conn->fd, SHUT_RD);
+  const auto drained = [this] { return live_connections_ == 0; };
+  if (!conns_done_.wait_for(lock, std::chrono::seconds(1), drained)) {
+    for (auto& [id, conn] : connections_) ::shutdown(conn->fd, SHUT_RDWR);
+    conns_done_.wait(lock, drained);
+  }
 }
 
 void DeepOdServer::AcceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
+  pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+  bool stopping = false;
+  while (!stopping) {
+    if (::poll(fds, 2, -1) < 0) {
       if (errno == EINTR) continue;
-      return;  // listen socket shut down
+      return;
     }
-    if (stopping_.load()) {
+    // On the Shutdown wake-up, adopt every connection already in the
+    // listen backlog before leaving: its client may have sent requests,
+    // and closing the listener would reset it unanswered.
+    stopping = fds[1].revents != 0;
+    for (;;) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) {
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+        return;  // the listen socket is unusable
+      }
+      Adopt(fd);
+    }
+  }
+}
+
+void DeepOdServer::Adopt(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  auto conn = std::make_shared<Connection>();
+  conn->fd = fd;
+  uint64_t id;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    if (live_connections_ >= options_.max_connections) {
+      rejected_conns_.Add();
       ::close(fd);
       return;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    uint64_t id;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (live_connections_ >= options_.max_connections) {
-        rejected_conns_.Add();
-        ::close(fd);
-        continue;
-      }
-      id = next_conn_id_++;
-      connections_[id] = conn;
-      ++live_connections_;
-      connections_gauge_.Set(static_cast<double>(live_connections_));
-    }
-    accepted_.Add();
-    std::thread([this, conn, id] {
-      ConnectionLoop(conn);
-      {
-        std::lock_guard<std::mutex> write_lock(conn->write_mu);
-        conn->open.store(false);
-        ::close(conn->fd);
-      }
-      // Notify under the lock: once it is released, Shutdown may return
-      // and the server (condition variable included) may be destroyed.
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      connections_.erase(id);
-      --live_connections_;
-      connections_gauge_.Set(static_cast<double>(live_connections_));
-      conns_done_.notify_all();
-    }).detach();
+    id = next_conn_id_++;
+    connections_[id] = conn;
+    ++live_connections_;
+    connections_gauge_.Set(static_cast<double>(live_connections_));
   }
+  accepted_.Add();
+  std::thread([this, conn, id] {
+    ConnectionLoop(conn);
+    {
+      std::lock_guard<std::mutex> write_lock(conn->write_mu);
+      conn->open.store(false);
+    }
+    // Close under conns_mu_, together with the map erase: Shutdown
+    // shuts down the sockets of the connections it finds in the map, and
+    // must never reach a descriptor number already closed and reused.
+    // Notify under the lock too: once it is released, Shutdown may return
+    // and the server (condition variable included) may be destroyed.
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    connections_.erase(id);
+    ::close(conn->fd);
+    --live_connections_;
+    connections_gauge_.Set(static_cast<double>(live_connections_));
+    conns_done_.notify_all();
+  }).detach();
 }
 
 void DeepOdServer::WriteResponse(const std::shared_ptr<Connection>& conn,
@@ -295,26 +344,14 @@ void DeepOdServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       continue;
     }
     requests_.Add();
-    FleetShard* shard = nullptr;
-    size_t num_segments = options_.num_segments;
-    if (fleet_ != nullptr) {
-      shard = fleet_->Resolve(request.network_id);
-      if (shard == nullptr) {
-        RespondError(conn, request.request_id, Status::kUnknownNetwork, 0);
-        continue;
-      }
-      num_segments = shard->num_segments();
+    FleetShard* shard = fleet_.Resolve(request.network_id);
+    if (shard == nullptr) {
+      RespondError(conn, request.request_id, Status::kUnknownNetwork, 0);
+      continue;
     }
+    const std::shared_ptr<EtaService> service = shard->service();
     const traj::OdInput& od = request.od;
-    const bool segments_ok =
-        num_segments == 0 ||
-        (od.origin_segment < num_segments && od.dest_segment < num_segments);
-    const bool fields_ok =
-        std::isfinite(od.origin_ratio) && std::isfinite(od.dest_ratio) &&
-        std::isfinite(od.departure_time) && od.weather_type >= 0 &&
-        od.weather_type <
-            static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
-    if (!segments_ok || !fields_ok) {
+    if (!ValidOd(od, *shard, service.get())) {
       RespondError(conn, request.request_id, Status::kInvalidRequest, 0);
       continue;
     }
@@ -324,40 +361,36 @@ void DeepOdServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       RespondError(conn, request.request_id, Status::kDeadlineExpired, 0);
       continue;
     }
-    if (shard != nullptr) {
-      const FallbackPolicy policy = shard->policy();
-      if (!shard->InDistribution(od)) {
-        // The city's oracle has never seen this OD cell pair.
-        if (policy == FallbackPolicy::kReject) {
-          shard->CountRejected();
-          RespondError(conn, request.request_id, Status::kInvalidRequest, 0);
-          continue;
-        }
-        if (policy == FallbackPolicy::kOracle) {
-          if (const auto fallback = shard->FallbackEstimate(od)) {
-            shard->CountOodToOracle();
-            shard->CountFallbackAnswer();
-            RespondFallback(conn, request.request_id, fallback->eta,
-                            fallback->estimator, arrival);
-            continue;
-          }
-        }
-        // kModel (or no fallback tier loaded): let the model extrapolate.
-      }
-      if (!shard->warm()) {
-        if (policy == FallbackPolicy::kOracle) {
-          if (const auto fallback = shard->FallbackEstimate(od)) {
-            shard->CountFallbackAnswer();
-            RespondFallback(conn, request.request_id, fallback->eta,
-                            fallback->estimator, arrival);
-            continue;
-          }
-        }
+    const FallbackPolicy policy = shard->policy();
+    if (policy != FallbackPolicy::kModel && !shard->InDistribution(od)) {
+      // The city's oracle has never seen this OD cell pair.
+      if (policy == FallbackPolicy::kReject) {
         shard->CountRejected();
-        RespondError(conn, request.request_id, Status::kShardCold,
-                     /*retry_after_ms=*/1000);
+        RespondError(conn, request.request_id, Status::kInvalidRequest, 0);
         continue;
       }
+      if (const auto fallback = shard->FallbackEstimate(od)) {
+        shard->CountOodToOracle();
+        shard->CountFallbackAnswer();
+        RespondFallback(conn, request.request_id, fallback->eta,
+                        fallback->estimator, arrival);
+        continue;
+      }
+      // No fallback tier loaded: let the model extrapolate.
+    }
+    if (service == nullptr) {
+      if (policy == FallbackPolicy::kOracle) {
+        if (const auto fallback = shard->FallbackEstimate(od)) {
+          shard->CountFallbackAnswer();
+          RespondFallback(conn, request.request_id, fallback->eta,
+                          fallback->estimator, arrival);
+          continue;
+        }
+      }
+      shard->CountRejected();
+      RespondError(conn, request.request_id, Status::kShardCold,
+                   /*retry_after_ms=*/1000);
+      continue;
     }
     AdmittedRequest admitted;
     admitted.frame = request;
@@ -373,8 +406,7 @@ void DeepOdServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
     if (decision.status == Status::kOk) {
       admitted_.Add();
       queue_depth_.Set(static_cast<double>(admission_.Depth()));
-    } else if (shard != nullptr &&
-               shard->policy() == FallbackPolicy::kOracle &&
+    } else if (policy == FallbackPolicy::kOracle &&
                IsShed(decision.status)) {
       // Admission shed, but this city keeps a fallback tier: degrade to the
       // oracle instead of bouncing the request back to the client.
@@ -396,27 +428,14 @@ void DeepOdServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
 
 void DeepOdServer::HandleObserve(const std::shared_ptr<Connection>& conn,
                                  const ObserveFrame& frame) {
-  size_t num_segments = options_.num_segments;
-  if (fleet_ != nullptr) {
-    const FleetShard* shard = fleet_->Resolve(frame.network_id);
-    if (shard == nullptr) {
-      RespondError(conn, frame.request_id, Status::kUnknownNetwork, 0);
-      return;
-    }
-    num_segments = shard->num_segments();
+  FleetShard* shard = fleet_.Resolve(frame.network_id);
+  if (shard == nullptr) {
+    RespondError(conn, frame.request_id, Status::kUnknownNetwork, 0);
+    return;
   }
-  const traj::OdInput& od = frame.od;
-  const bool segments_ok =
-      num_segments == 0 ||
-      (od.origin_segment < num_segments && od.dest_segment < num_segments);
-  const bool fields_ok =
-      std::isfinite(od.origin_ratio) && std::isfinite(od.dest_ratio) &&
-      std::isfinite(od.departure_time) &&
-      std::isfinite(frame.actual_seconds) && frame.actual_seconds >= 0.0 &&
-      od.weather_type >= 0 &&
-      od.weather_type <
-          static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
-  if (!segments_ok || !fields_ok) {
+  const std::shared_ptr<EtaService> service = shard->service();
+  if (!ValidOd(frame.od, *shard, service.get()) ||
+      !std::isfinite(frame.actual_seconds) || frame.actual_seconds < 0.0) {
     RespondError(conn, frame.request_id, Status::kInvalidRequest, 0);
     return;
   }
@@ -424,22 +443,18 @@ void DeepOdServer::HandleObserve(const std::shared_ptr<Connection>& conn,
   ResponseFrame response;
   response.request_id = frame.request_id;
   response.status = Status::kOk;
-  // Live hooks are single-city plumbing (one speed field, one drift gauge
-  // against one model); fleet mode validates and acknowledges only.
-  if (fleet_ == nullptr) {
-    if (options_.live.rolling_field != nullptr &&
-        !frame.observations.empty()) {
-      observations_.Add(
-          options_.live.rolling_field->Ingest(frame.observations));
-    }
-    if (options_.live.drift != nullptr) {
-      // Re-score the finished trip against the model serving RIGHT NOW (one
-      // synchronous forward on the connection thread — ingest traffic is
-      // orders of magnitude rarer than queries) and feed the drift gauge.
-      const double predicted = service_->Estimate(od);
-      options_.live.drift->Observe(predicted, frame.actual_seconds);
-      response.eta_seconds = predicted;
-    }
+  sim::RollingSpeedField* rolling = shard->rolling_field();
+  if (rolling != nullptr && !frame.observations.empty()) {
+    observations_.Add(rolling->Ingest(frame.observations));
+  }
+  if (service != nullptr) {
+    // Re-score the finished trip against the model serving RIGHT NOW (one
+    // synchronous forward on the connection thread — ingest traffic is
+    // orders of magnitude rarer than queries) and feed the drift gauge. A
+    // cold shard has no model to score against: acknowledged only.
+    const double predicted = service->Estimate(frame.od);
+    shard->drift().Observe(predicted, frame.actual_seconds);
+    response.eta_seconds = predicted;
   }
   WriteResponse(conn, response);
 }
@@ -448,15 +463,18 @@ void DeepOdServer::ExecutorLoop(size_t slot) {
   util::ThreadPool* pool =
       executor_pools_.empty() ? nullptr : executor_pools_[slot].get();
   std::vector<AdmittedRequest> batch;
-  std::vector<traj::OdInput> ods;
-  std::vector<size_t> live;
+  std::vector<size_t> live;             // batch indices still in deadline
+  std::vector<ResponseFrame> responses;  // one per `live` entry
+  std::vector<uint32_t> networks;       // distinct network_ids in `live`
+  std::vector<size_t> members;          // `live` positions of one city
+  std::vector<traj::OdInput> group_ods;
   for (;;) {
     batch.clear();
     if (!admission_.PopBatch(options_.max_batch, &batch)) return;
     queue_depth_.Set(static_cast<double>(admission_.Depth()));
     const auto start = std::chrono::steady_clock::now();
-    ods.clear();
     live.clear();
+    networks.clear();
     for (size_t i = 0; i < batch.size(); ++i) {
       if (batch[i].deadline < start) {
         // Expired while queued: a deadline miss, answered without spending
@@ -466,79 +484,67 @@ void DeepOdServer::ExecutorLoop(size_t slot) {
         response.request_id = batch[i].frame.request_id;
         response.status = Status::kDeadlineExpired;
         batch[i].respond(response);
-      } else {
-        live.push_back(i);
-        ods.push_back(batch[i].frame.od);
+        continue;
+      }
+      live.push_back(i);
+      const uint32_t network_id = batch[i].frame.network_id;
+      if (std::find(networks.begin(), networks.end(), network_id) ==
+          networks.end()) {
+        networks.push_back(network_id);
       }
     }
-    if (ods.empty()) continue;
-    batch_fill_.Observe(static_cast<double>(ods.size()));
-    std::vector<double> etas;
-    std::vector<Estimator> estimators(ods.size(), Estimator::kModel);
-    if (fleet_ == nullptr) {
-      etas = service_->EstimateBatch(ods, pool);
-    } else {
-      // Split the drained batch by city: each group goes through its own
-      // shard's EstimateBatch (one state snapshot per shard per dispatch).
-      // Only warm-shard requests are admitted and activation is one-way,
-      // so the service is expected live; a defensive oracle answer covers
-      // the unexpected.
-      etas.assign(ods.size(), 0.0);
-      std::map<uint32_t, std::vector<size_t>> groups;
+    if (live.empty()) continue;
+    batch_fill_.Observe(static_cast<double>(live.size()));
+
+    // Split the drained batch by city: each group goes through its own
+    // shard's EstimateBatch (one state snapshot per shard per dispatch).
+    // Only warm-shard requests are admitted and activation is one-way, so
+    // the service is expected live; a defensive fallback answer covers the
+    // unexpected.
+    responses.assign(live.size(), ResponseFrame{});
+    for (const uint32_t network_id : networks) {
+      members.clear();
+      group_ods.clear();
       for (size_t m = 0; m < live.size(); ++m) {
-        groups[batch[live[m]].frame.network_id].push_back(m);
+        if (batch[live[m]].frame.network_id != network_id) continue;
+        members.push_back(m);
+        group_ods.push_back(batch[live[m]].frame.od);
       }
-      std::vector<traj::OdInput> group_ods;
-      for (const auto& [network_id, members] : groups) {
-        FleetShard* shard = fleet_->Resolve(network_id);
-        std::shared_ptr<EtaService> shard_service =
-            shard != nullptr ? shard->service() : nullptr;
-        if (shard_service != nullptr) {
-          group_ods.clear();
-          for (const size_t m : members) group_ods.push_back(ods[m]);
-          const std::vector<double> group_etas =
-              shard_service->EstimateBatch(group_ods, pool);
-          for (size_t j = 0; j < members.size(); ++j) {
-            etas[members[j]] = group_etas[j];
-            shard->CountModelAnswer();
-          }
+      FleetShard* shard = fleet_.Resolve(network_id);
+      const std::shared_ptr<EtaService> service =
+          shard != nullptr ? shard->service() : nullptr;
+      std::vector<double> etas;
+      if (service != nullptr) etas = service->EstimateBatch(group_ods, pool);
+      for (size_t j = 0; j < members.size(); ++j) {
+        ResponseFrame& response = responses[members[j]];
+        if (service != nullptr) {
+          response.eta_seconds = etas[j];
+          shard->CountModelAnswer();
+        } else if (const std::optional<FleetShard::Fallback> fallback =
+                       shard != nullptr ? shard->FallbackEstimate(group_ods[j])
+                                        : std::nullopt) {
+          response.eta_seconds = fallback->eta;
+          response.estimator = fallback->estimator;
+          shard->CountFallbackAnswer();
         } else {
-          for (const size_t m : members) {
-            const std::optional<FleetShard::Fallback> fallback =
-                shard != nullptr ? shard->FallbackEstimate(ods[m])
-                                 : std::nullopt;
-            if (fallback) {
-              etas[m] = fallback->eta;
-              estimators[m] = fallback->estimator;
-              shard->CountFallbackAnswer();
-            } else {
-              etas[m] = 0.0;
-              estimators[m] = Estimator::kModel;
-              ResponseFrame response;
-              response.request_id = batch[live[m]].frame.request_id;
-              response.status = Status::kShardCold;
-              response.retry_after_ms = 1000;
-              shard_cold_.Add();
-              batch[live[m]].respond(response);
-              live[m] = SIZE_MAX;  // answered; skip in the Ok loop below
-            }
-          }
+          response.status = Status::kShardCold;
+          response.retry_after_ms = 1000;
         }
       }
     }
     const auto end = std::chrono::steady_clock::now();
     admission_.RecordServiceTime(SecondsSince(start, end) /
-                                 static_cast<double>(ods.size()));
+                                 static_cast<double>(live.size()));
     for (size_t m = 0; m < live.size(); ++m) {
-      if (live[m] == SIZE_MAX) continue;
       AdmittedRequest& request = batch[live[m]];
-      ResponseFrame response;
+      ResponseFrame& response = responses[m];
       response.request_id = request.frame.request_id;
-      response.status = Status::kOk;
-      response.estimator = estimators[m];
-      response.eta_seconds = etas[m];
-      latency_.Observe(SecondsSince(request.arrival, end));
-      completed_.Add();
+      if (response.status == Status::kOk) {
+        latency_.Observe(SecondsSince(request.arrival, end));
+        completed_.Add();
+      } else {
+        shard_cold_.Add();
+      }
       request.respond(response);
     }
   }
@@ -547,13 +553,7 @@ void DeepOdServer::ExecutorLoop(size_t slot) {
 std::string DeepOdServer::ExportStatsJson() const {
   StatsSources sources;
   sources.server = &registry_;
-  if (fleet_ != nullptr) {
-    fleet_->AppendStatsSources(&sources);
-  } else {
-    sources.service = service_;
-    sources.reloader = options_.live.reloader;
-    sources.drift = options_.live.drift;
-  }
+  fleet_.AppendStatsSources(&sources);
   return serve::ExportStatsJson(sources);
 }
 

@@ -13,36 +13,16 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "serve/eta_service.h"
 #include "serve/server/admission.h"
 #include "serve/server/frame.h"
 #include "util/thread_pool.h"
 
 namespace deepod::serve {
-class DriftMonitor;
 class FleetRouter;
 class FleetShard;
-class ModelReloader;
 }  // namespace deepod::serve
 
 namespace deepod::serve::net {
-
-// Live-serving hooks, all optional and borrowed (must outlive the server):
-// the sinks the ObserveTrip ingest endpoint feeds and the extra stat
-// sources the unified stats surface reports. A server without hooks still
-// accepts observe frames (they are acknowledged and dropped) so clients
-// need not know the deployment shape.
-struct LiveServingHooks {
-  // Streamed per-segment speed observations land here. NOTE: ingest only —
-  // somebody must call Publish() + EtaService::BumpEpoch() to make them
-  // servable (deepod_server's publish ticker, or a test directly).
-  sim::RollingSpeedField* rolling_field = nullptr;
-  // Each observed trip is re-scored against the current model and the
-  // prediction/actual pair recorded here (the drift gauge).
-  DriftMonitor* drift = nullptr;
-  // Stats-only: folded into the stats frame / --stats-json document.
-  const ModelReloader* reloader = nullptr;
-};
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
@@ -63,58 +43,54 @@ struct ServerOptions {
   size_t executors = 1;
   size_t batch_threads = 1;
 
-  // Segment-id bound for request validation (kInvalidRequest). 0 skips
-  // segment validation — only safe when every client is trusted. Ignored
-  // in fleet mode, where each shard validates against its own network.
-  size_t num_segments = 0;
-
   AdmissionOptions admission;
-
-  LiveServingHooks live;
 };
 
-// The network front end: a length-prefixed-TCP server around EtaService,
+// The network front end: a length-prefixed-TCP server around a FleetRouter,
 // structured as three layers (DESIGN.md "Network serving"):
 //   acceptor/connections -> admission/scheduler -> batching executor.
-// Connection threads decode and validate frames and offer them to the
-// AdmissionQueue (never blocking on a full queue — requests are admitted
-// or shed with a typed status + retry-after). Executor slots drain the
-// admitted backlog into EstimateBatch as they free up, re-checking
-// deadlines at dequeue so a request that expired while queued costs a
-// response frame, not a model forward.
+// Every deployment is a fleet; a single city is a one-row fleet
+// (FleetRouter::ForArtifact). Connection threads decode frames, route each
+// by its wire network_id (unknown id -> typed kUnknownNetwork), validate it
+// against that city (ValidOd in server.cc: segments in its network, ratios
+// in [0, 1], a known weather, a departure time inside its serving state's
+// slot domain; anything else -> kInvalidRequest) and offer it to the
+// AdmissionQueue (never blocking on a full queue — requests are admitted or
+// shed with a typed status + retry-after). Executor slots drain the
+// admitted backlog as they free up, re-check deadlines at dequeue (a
+// request that expired while queued costs a response frame, not a model
+// forward), group the batch by city and push each group through that
+// shard's EstimateBatch. One AdmissionQueue is shared across cities (a
+// single PopBatch scheduler, per-tenant quotas spanning the fleet).
+//
+// Requests a shard's model cannot answer — the shard is cold, the
+// admission queue sheds, or the OD pair is out-of-distribution — are
+// answered inline on the connection thread from the shard's fallback tier
+// (OD-histogram oracle, else link means) when its policy allows, tagged
+// with the estimator that produced the ETA. A kModel shard never asks the
+// out-of-distribution question: its answer would be ignored.
+//
+// ObserveTrip frames are validated the same way, their observations
+// ingested into the shard's live speed field (when it has one) and the trip
+// re-scored against the shard's model for its drift monitor.
 //
 // Observability: a private obs::Registry under "server/" — accepted /
 // admitted / completed / per-reason shed / deadline-missed / observe
 // counters, a queue-depth gauge, a batch-fill histogram (requests per
 // executor dispatch) and an arrival→response latency histogram.
-// ExportStatsJson() delegates to serve::ExportStatsJson over every stat
-// source the deployment has (this registry, the service's "serve/", the
-// reloader's "reload/", the drift monitor's "drift/"), so the wire stats
-// frame and `--stats-json` render the identical document.
+// ExportStatsJson() delegates to serve::ExportStatsJson over this registry
+// and every source the fleet has ("serve/<city>/", "reload/<city>/",
+// "drift/<city>/", "fleet/"), so the wire stats frame and `--stats-json`
+// render the identical document.
 //
-// Shutdown() is graceful: stop accepting, shed new offers with
-// kShuttingDown, drain and answer every admitted request, then close
-// connections. The destructor calls it.
-//
-// Fleet mode: constructed over a FleetRouter instead of a single
-// EtaService, the server routes each request by its wire network_id
-// (unknown id -> typed kUnknownNetwork rejection) and validates segments
-// against that city's network. Requests a shard's model cannot answer —
-// the shard is cold, the admission queue sheds, or the OD pair is
-// out-of-distribution — are answered inline on the connection thread from
-// the shard's fallback tier (OD-histogram oracle, else link means) when
-// its policy allows, tagged with the estimator that produced the ETA.
-// One AdmissionQueue is shared across cities (a single PopBatch scheduler,
-// per-tenant quotas spanning the fleet); the executor groups each drained
-// batch by network_id and pushes each group through its own shard's
-// EstimateBatch. Live-serving hooks are single-city plumbing and are not
-// consulted in fleet mode (observe frames are validated per shard and
-// acknowledged).
+// Shutdown() is graceful: stop accepting (adopting the connections already
+// in the listen backlog), shed new offers with kShuttingDown, drain and
+// answer every admitted request, then half-close the connections so each
+// reader answers what its client already sent before it exits. The
+// destructor calls it.
 class DeepOdServer {
  public:
-  DeepOdServer(EtaService& service, const ServerOptions& options);
-  // Fleet mode: route by network_id across the router's shards. The
-  // router is borrowed and must outlive the server.
+  // The router is borrowed and must outlive the server.
   DeepOdServer(FleetRouter& fleet, const ServerOptions& options);
   ~DeepOdServer();
 
@@ -140,14 +116,13 @@ class DeepOdServer {
     std::atomic<bool> open{true};
   };
 
-  // Exactly one of `service` / `fleet` is non-null.
-  DeepOdServer(EtaService* service, FleetRouter* fleet,
-               const ServerOptions& options);
-
   void AcceptLoop();
+  // Registers an accepted socket and starts its reader thread (or closes
+  // it past max_connections).
+  void Adopt(int fd);
   void ConnectionLoop(std::shared_ptr<Connection> conn);
-  // ObserveTrip ingest: validates, feeds the live hooks, answers with the
-  // prediction used for drift scoring.
+  // ObserveTrip ingest: validates, feeds the shard's live speed field and
+  // drift monitor, answers with the prediction used for drift scoring.
   void HandleObserve(const std::shared_ptr<Connection>& conn,
                      const ObserveFrame& frame);
   void ExecutorLoop(size_t slot);
@@ -163,12 +138,12 @@ class DeepOdServer {
                        uint64_t request_id, double eta, Estimator estimator,
                        std::chrono::steady_clock::time_point arrival);
 
-  EtaService* service_ = nullptr;  // single mode
-  FleetRouter* fleet_ = nullptr;   // fleet mode
+  FleetRouter& fleet_;
   ServerOptions options_;
   AdmissionQueue admission_;
 
   int listen_fd_ = -1;
+  int wake_fds_[2] = {-1, -1};  // Shutdown -> acceptor wake-up pipe
   uint16_t port_ = 0;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
@@ -190,8 +165,8 @@ class DeepOdServer {
   obs::Counter& bad_frames_;
   obs::Counter& invalid_requests_;
   obs::Counter& unknown_tenants_;
-  obs::Counter& unknown_networks_;  // fleet: unresolvable network_id
-  obs::Counter& shard_cold_;        // fleet: cold shard, no fallback tier
+  obs::Counter& unknown_networks_;  // unresolvable network_id
+  obs::Counter& shard_cold_;        // cold shard, no fallback tier
   obs::Counter& admitted_;
   obs::Counter& shed_;
   obs::Counter& shed_queue_full_;

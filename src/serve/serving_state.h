@@ -17,8 +17,8 @@ namespace deepod::serve {
 // the artifact bundle), the cache-key slotter and the cache generation.
 //
 // EtaService publishes the current epoch as a shared_ptr<const ServingState>
-// and every request path (Estimate, EstimateBatch, the dispatcher) acquires
-// one snapshot for its whole unit of work, RCU-style: a model swap flips
+// and every request path (Estimate, EstimateBatch) acquires one snapshot
+// for its whole unit of work, RCU-style: a model swap flips
 // the pointer atomically, in-flight requests finish against the epoch they
 // started on, and the old state is destroyed when its last in-flight
 // reference drops. Nothing is ever answered from a half-swapped state.

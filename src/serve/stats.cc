@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "serve/drift_monitor.h"
 #include "serve/eta_service.h"
-#include "serve/model_reloader.h"
 
 namespace deepod::serve {
 namespace {
@@ -19,7 +17,6 @@ void AppendRegistry(const obs::Registry* registry,
 
 // A service's registry, with its model-owned gauges brought up to date.
 const obs::Registry* ServiceRegistry(const EtaService* service) {
-  if (service == nullptr) return nullptr;
   service->PublishModelStats();
   return &service->registry();
 }
@@ -29,13 +26,9 @@ const obs::Registry* ServiceRegistry(const EtaService* service) {
 std::vector<obs::Record> CollectStats(const StatsSources& sources) {
   std::vector<obs::Record> out;
   AppendRegistry(sources.server, out);
-  AppendRegistry(ServiceRegistry(sources.service), out);
   for (const EtaService* service : sources.services) {
     AppendRegistry(ServiceRegistry(service), out);
   }
-  AppendRegistry(sources.reloader ? &sources.reloader->registry() : nullptr,
-                 out);
-  AppendRegistry(sources.drift ? &sources.drift->registry() : nullptr, out);
   for (const obs::Registry* registry : sources.extra) {
     AppendRegistry(registry, out);
   }
@@ -56,16 +49,9 @@ std::string ExportStatsJson(const StatsSources& sources) {
 std::string ExportStatsPrometheus(const StatsSources& sources) {
   std::string out;
   if (sources.server) out += sources.server->ExportPrometheus("");
-  if (const obs::Registry* registry = ServiceRegistry(sources.service)) {
-    out += registry->ExportPrometheus("");
-  }
   for (const EtaService* service : sources.services) {
     out += ServiceRegistry(service)->ExportPrometheus("");
   }
-  if (sources.reloader) {
-    out += sources.reloader->registry().ExportPrometheus("");
-  }
-  if (sources.drift) out += sources.drift->registry().ExportPrometheus("");
   for (const obs::Registry* registry : sources.extra) {
     if (registry != nullptr) out += registry->ExportPrometheus("");
   }

@@ -8,28 +8,18 @@
 
 namespace deepod::serve {
 
-class DriftMonitor;
 class EtaService;
-class ModelReloader;
 
-// The serving stack's stat sources, each optional. One serving process has
-// up to four registries — the server front end's ("server/*" instruments),
-// the EtaService's ("serve/*"), the ModelReloader's ("reload/*") and the
-// DriftMonitor's ("drift/*") — and before this entry point existed each
-// surface concatenated its own subset, so `--stats-json`, the wire stats
-// frame and EtaService::ExportJson could disagree on schema and coverage.
+// The serving stack's stat sources, each optional and borrowed (they must
+// outlive the call). A serving process has the server front end's registry
+// ("server/*"), one EtaService per warm city ("serve/<city>/*"), and the
+// plain registries of the fleet router ("fleet/*"), the per-city reloaders
+// ("reload/<city>/*") and drift monitors ("drift/<city>/*"). Services are
+// listed apart from plain registries because their model-owned gauges are
+// refreshed before export.
 struct StatsSources {
   const obs::Registry* server = nullptr;
-  const EtaService* service = nullptr;
-  const ModelReloader* reloader = nullptr;
-  const DriftMonitor* drift = nullptr;
-  // Further services merged into the same export — the fleet router
-  // appends every warm shard's service ("serve/<city>/*") here. Borrowed;
-  // must outlive the call.
   std::vector<const EtaService*> services;
-  // Additional registries merged into the same export — the fleet router
-  // appends its own registry ("fleet/*") here. Borrowed; must outlive the
-  // call.
   std::vector<const obs::Registry*> extra;
 };
 

@@ -21,6 +21,11 @@ int64_t TimeSlotter::Slot(Timestamp t) const {
   return static_cast<int64_t>(std::floor((t - base_) / slot_seconds_));
 }
 
+bool TimeSlotter::Covers(Timestamp t) const {
+  // 2^63 is exactly representable; every double below it converts.
+  return t >= base_ && (t - base_) / slot_seconds_ < 0x1p63;
+}
+
 double TimeSlotter::Remainder(Timestamp t) const {
   return t - base_ - static_cast<double>(Slot(t)) * slot_seconds_;
 }

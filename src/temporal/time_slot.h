@@ -28,6 +28,9 @@ class TimeSlotter {
 
   // Eq. 2.
   int64_t Slot(Timestamp t) const;
+  // Whether Slot(t) is defined: t is at or after the base and its slot
+  // index fits int64 (false for NaN and infinities).
+  bool Covers(Timestamp t) const;
   // Eq. 3 — in [0, Δt).
   double Remainder(Timestamp t) const;
   // Inverse map: start timestamp of a slot.

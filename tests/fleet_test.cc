@@ -13,10 +13,17 @@
 //  - a DeepOdServer in fleet mode serves three cities from one process:
 //    model answers for the warm shards, oracle answers (tagged in the
 //    estimator byte) for the model-less city, typed kUnknownNetwork for
-//    unmapped ids and per-shard segment validation.
+//    unmapped ids and per-shard segment validation;
+//  - out-of-domain requests and observe frames (departure before the
+//    slotter's base or past int64 slots, position ratio outside [0, 1])
+//    get a typed kInvalidRequest and the fleet keeps serving;
+//  - live serving is per city: observe frames for one city move only its
+//    rolling speed field, drift monitor and cache epoch, and another city's
+//    answers stay bit-identical.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -126,7 +133,7 @@ class FleetTest : public ::testing::Test {
   // far slower than any test runs; ActivateNow() drives activation).
   static serve::FleetRouterOptions QuietOptions() {
     serve::FleetRouterOptions options;
-    options.activation_poll = std::chrono::milliseconds(600000);
+    options.reloader.poll_interval = std::chrono::milliseconds(600000);
     return options;
   }
 
@@ -337,6 +344,148 @@ TEST_F(FleetTest, ActivateNowBringsAColdShardWarmExactlyOnce) {
 
 // --- Fleet server over a real socket -----------------------------------------
 
+// Writes one encoded frame and reads the response it earns.
+ResponseFrame RoundTrip(Client& client, const std::vector<uint8_t>& wire) {
+  ResponseFrame response;
+  EXPECT_TRUE(WriteAll(client.fd(), wire.data(), wire.size()));
+  EXPECT_TRUE(client.ReadResponse(&response));
+  return response;
+}
+
+TEST_F(FleetTest, OutOfDomainFramesAreInvalidAndTheFleetKeepsServing) {
+  const std::string path = WriteManifest(
+      "manifest_domain.csv",
+      {"1,a,a.network.csv,a.model.artifact,a.oracle.artifact,oracle",
+       "2,b,b.network.csv,b.model.artifact,b.oracle.artifact,model"});
+  serve::FleetRouter router(serve::ReadFleetManifest(path), QuietOptions());
+  DeepOdServer server(router, ServerOptions{});
+  server.Start();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+
+  uint64_t id = 0;
+  for (const uint32_t network_id : {1u, 2u}) {
+    const City& city = network_id == 1 ? *city_a_ : *city_b_;
+    std::vector<traj::OdInput> bad;
+    for (const double t : {-3600.0, -1e9, 1e300}) {
+      bad.push_back(SampleOd(city));
+      bad.back().departure_time = t;
+    }
+    bad.push_back(SampleOd(city));
+    bad.back().origin_ratio = 1e6;
+    for (const traj::OdInput& od : bad) {
+      RequestFrame request;
+      request.request_id = ++id;
+      request.network_id = network_id;
+      request.od = od;
+      ResponseFrame response = RoundTrip(client, EncodeRequestFrame(request));
+      EXPECT_EQ(response.request_id, id);
+      EXPECT_EQ(response.status, Status::kInvalidRequest) << "request " << id;
+
+      ObserveFrame observe;
+      observe.request_id = ++id;
+      observe.network_id = network_id;
+      observe.od = od;
+      observe.actual_seconds = 600.0;
+      response = RoundTrip(client, EncodeObserveFrame(observe));
+      EXPECT_EQ(response.request_id, id);
+      EXPECT_EQ(response.status, Status::kInvalidRequest) << "observe " << id;
+    }
+    // The city still answers with its own model.
+    RequestFrame request;
+    request.request_id = ++id;
+    request.network_id = network_id;
+    request.od = SampleOd(city);
+    const ResponseFrame response =
+        RoundTrip(client, EncodeRequestFrame(request));
+    EXPECT_EQ(response.status, Status::kOk);
+    EXPECT_EQ(response.eta_seconds,
+              router.Resolve(network_id)->service()->Estimate(request.od));
+  }
+  client.Close();
+  server.Shutdown();
+  router.Stop();
+}
+
+TEST_F(FleetTest, LiveSpeedObservesMoveOnlyTheirOwnCity) {
+  const std::string path = WriteManifest(
+      "manifest_live.csv",
+      {"1,a,a.network.csv,a.model.artifact,a.oracle.artifact,model",
+       "2,b,b.network.csv,b.model.artifact,b.oracle.artifact,model"});
+  serve::FleetRouterOptions options = QuietOptions();
+  options.live_speed = serve::LiveSpeedOptions{};
+  serve::FleetRouter router(serve::ReadFleetManifest(path), options);
+  serve::FleetShard& a = *router.Resolve(1);
+  serve::FleetShard& b = *router.Resolve(2);
+  ASSERT_NE(a.rolling_field(), nullptr);
+  ASSERT_NE(b.rolling_field(), nullptr);
+  DeepOdServer server(router, ServerOptions{});
+  server.Start();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+
+  uint64_t id = 0;
+  const auto answers_of_b = [&] {
+    std::vector<double> etas;
+    for (size_t i = 0; i < 8; ++i) {
+      RequestFrame request;
+      request.request_id = ++id;
+      request.network_id = 2;
+      request.od = SampleOd(*city_b_, i);
+      const ResponseFrame response =
+          RoundTrip(client, EncodeRequestFrame(request));
+      EXPECT_EQ(response.status, Status::kOk);
+      etas.push_back(response.eta_seconds);
+    }
+    return etas;
+  };
+  const std::vector<double> b_before = answers_of_b();
+  const uint64_t a_epoch = a.service()->state()->epoch;
+  const uint64_t b_epoch = b.service()->state()->epoch;
+
+  // Observed trips for city a, slowed down well below free flow.
+  for (size_t i = 0; i < 4; ++i) {
+    ObserveFrame observe;
+    observe.request_id = ++id;
+    observe.network_id = 1;
+    observe.od = SampleOd(*city_a_, i);
+    observe.actual_seconds = 900.0;
+    observe.observations = {
+        {observe.od.origin_segment, observe.od.departure_time, 1.5},
+        {observe.od.dest_segment, observe.od.departure_time + 60.0, 1.5}};
+    const ResponseFrame response =
+        RoundTrip(client, EncodeObserveFrame(observe));
+    EXPECT_EQ(response.status, Status::kOk);
+    EXPECT_EQ(response.eta_seconds, a.service()->Estimate(observe.od));
+  }
+  EXPECT_EQ(a.rolling_field()->pending(), 8u);
+  EXPECT_EQ(b.rolling_field()->pending(), 0u);
+  EXPECT_EQ(a.drift().Observations(), 4u);
+  EXPECT_EQ(b.drift().Observations(), 0u);
+
+  // The publish ticker's sweep: only the observed city publishes and
+  // moves its cache epoch.
+  EXPECT_TRUE(a.PublishLiveSpeed());
+  EXPECT_FALSE(b.PublishLiveSpeed());
+  EXPECT_EQ(a.service()->state()->epoch, a_epoch + 1);
+  EXPECT_EQ(b.service()->state()->epoch, b_epoch);
+
+  const std::vector<double> b_after = answers_of_b();
+  ASSERT_EQ(b_after.size(), b_before.size());
+  for (size_t i = 0; i < b_before.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&b_after[i], &b_before[i], sizeof(double)), 0) << i;
+  }
+
+  // Each city's drift monitor exports under its own name.
+  const std::string stats = server.ExportStatsJson();
+  EXPECT_NE(stats.find("\"drift/a/rolling_mae\""), std::string::npos);
+  EXPECT_NE(stats.find("\"drift/b/rolling_mae\""), std::string::npos);
+
+  client.Close();
+  server.Shutdown();
+  router.Stop();
+}
+
 TEST_F(FleetTest, ServerServesThreeCitiesFromOneProcess) {
   // a and b serve their models; c has no model artifact on disk and serves
   // from its oracle artifact under the (default) oracle policy.
@@ -348,7 +497,7 @@ TEST_F(FleetTest, ServerServesThreeCitiesFromOneProcess) {
   serve::FleetRouter router(serve::ReadFleetManifest(path), QuietOptions());
   EXPECT_EQ(router.WarmCount(), 2u);
 
-  ServerOptions server_options;  // num_segments stays 0: per-shard validation
+  ServerOptions server_options;
   server_options.executors = 2;  // two executors share each shard's model
   DeepOdServer server(router, server_options);
   server.Start();

@@ -8,14 +8,12 @@
 //    bit-for-bit and passes gradient checks;
 //  - the sharded LRU cache evicts in LRU order, keys exactly, and keeps
 //    consistent hit/miss counts under concurrency;
-//  - EtaService serves Predict's numbers through cache, Estimate and the
-//    micro-batched TrySubmit path.
+//  - EtaService serves Predict's numbers through its cache and exports
+//    registry-backed stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -461,36 +459,6 @@ TEST(EtaServiceTest, EstimateServesPredictValuesAndCaches) {
   EXPECT_EQ(stats.requests, 2u);
 }
 
-TEST(EtaServiceTest, TrySubmitMicroBatchesAndMatchesEstimate) {
-  core::DeepOdModel model(TinyConfig(), TinyDataset());
-  model.SetTraining(false);
-  serve::EtaServiceOptions options;
-  options.max_batch = 4;
-  options.queue_capacity = 16;
-  serve::EtaService service(model, options);
-  std::vector<traj::OdInput> ods;
-  for (size_t i = 0; i < std::min<size_t>(12, TinyDataset().test.size()); ++i) {
-    ods.push_back(TinyDataset().test[i].od);
-  }
-  std::vector<double> expected;
-  for (const auto& od : ods) expected.push_back(model.Predict(od));
-  std::vector<std::future<double>> futures;
-  for (const auto& od : ods) {
-    // TrySubmit is the primary enqueue API; capacity 16 > 12 queries, so a
-    // bounded wait always finds room here.
-    auto future = service.TrySubmit(od, std::chrono::seconds(5));
-    ASSERT_TRUE(future.has_value());
-    futures.push_back(std::move(*future));
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), expected[i]);
-  }
-  const auto stats = service.StatsSnapshot();
-  EXPECT_EQ(stats.requests, ods.size());
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_GT(stats.avg_batch_size, 0.0);
-}
-
 TEST(EtaServiceTest, ExportsRegistryBackedStats) {
   core::DeepOdModel model(TinyConfig(), TinyDataset());
   model.SetTraining(false);
@@ -505,7 +473,7 @@ TEST(EtaServiceTest, ExportsRegistryBackedStats) {
   EXPECT_NE(json.find("\"serve/requests\""), std::string::npos);
   EXPECT_NE(json.find("\"serve/cache_hits\""), std::string::npos);
   EXPECT_NE(json.find("\"serve/latency\""), std::string::npos);
-  EXPECT_NE(json.find("\"serve/queue_wait\""), std::string::npos);
+  EXPECT_NE(json.find("\"serve/batch_assembly\""), std::string::npos);
 
   // The model's ocode memo shows through the service's stats: the second
   // Estimate was a cache hit, so the model encoded once.

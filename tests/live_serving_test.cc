@@ -8,14 +8,14 @@
 //    fresh process while in-flight work finishes on the old epoch;
 //  - ModelReloader hot-swaps a rewritten artifact, rolls back (keeps
 //    serving) on a corrupt one, and recovers on the next good write;
-//  - swap under sustained load: concurrent Estimate/TrySubmit traffic
+//  - swap under sustained load: concurrent Estimate/EstimateBatch traffic
 //    across repeated swaps, zero failures, post-swap answers bit-identical
 //    to a fresh process on the final artifact;
 //  - DriftMonitor: rolling MAE rises under a shock, the retrain trigger
 //    edge-fires once, and ingesting fresh observations through the rolling
 //    field brings the MAE back down;
 //  - the ObserveTrip frame codec round-trips and the server ingests observe
-//    frames into the hooked rolling field + drift monitor;
+//    frames into the city's rolling field + drift monitor;
 //  - serve::CollectStats merges every source's registry into one
 //    name-sorted record set (the unified stats schema).
 
@@ -26,7 +26,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,10 +35,12 @@
 #include "core/deepod_model.h"
 #include "core/trainer.h"
 #include "io/model_artifact.h"
+#include "io/trip_io.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "serve/drift_monitor.h"
 #include "serve/eta_service.h"
+#include "serve/fleet_router.h"
 #include "serve/model_reloader.h"
 #include "serve/server/frame.h"
 #include "serve/server/loadgen.h"
@@ -439,9 +440,9 @@ TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> answered{0};
   std::atomic<uint64_t> failures{0};
-  // Two synchronous estimators + one TrySubmit producer, hammering across
-  // every flip. Every future must resolve — a dropped or half-swapped
-  // request shows up here.
+  // Two single-query estimators + one batch producer, hammering across
+  // every flip. A batch is answered from one state snapshot, so a
+  // half-swapped batch shows up here as well as a torn single answer.
   std::vector<std::thread> traffic;
   for (int worker = 0; worker < 2; ++worker) {
     traffic.emplace_back([&, worker] {
@@ -455,18 +456,12 @@ TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
     });
   }
   traffic.emplace_back([&] {
-    size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      const size_t query = i % ods.size();
-      auto future = service->TrySubmit(ods[query],
-                                       std::chrono::milliseconds(100));
-      if (!future.has_value()) {
-        ++failures;  // queue is never full here: a shed is a bug
-      } else {
-        if (!valid(query, future->get())) ++failures;
+      const std::vector<double> etas = service->EstimateBatch(ods);
+      for (size_t query = 0; query < ods.size(); ++query) {
+        if (!valid(query, etas[query])) ++failures;
         ++answered;
       }
-      ++i;
     }
   });
 
@@ -653,20 +648,23 @@ TEST(ObserveFrameCodec, EncoderRefusesOverlongTrips) {
 
 TEST(ServerObserve, IngestsIntoHooksAndAnswersWithThePrediction) {
   using namespace serve::net;
-  const auto& dataset = TinyDataset();
-  const auto& baseline = FrozenField();
-  core::DeepOdModel model(TinyConfig(), TinyDataset());
-  model.SetTraining(false);
-  serve::EtaService service(model, serve::EtaServiceOptions{});
-  sim::RollingSpeedField rolling(dataset.network, 200.0,
-                                 baseline.snapshot_seconds(), &baseline);
-  serve::DriftMonitor drift(serve::DriftMonitorOptions{});
+  // A one-row fleet with live speed over the v1 artifact (stamped 0),
+  // exactly what deepod_server --artifact --live-speed stands up.
+  const std::string network_path = TempPath("live_serving.network.csv");
+  io::WriteNetworkCsv(TinyDataset().network, network_path);
+  serve::FleetRouterOptions fleet_options;
+  fleet_options.live_speed = serve::LiveSpeedOptions{};
+  const auto fleet = serve::FleetRouter::ForArtifact(
+      ArtifactV1(), network_path, fleet_options);
+  serve::FleetShard& city = *fleet->shards()[0];
+  sim::RollingSpeedField* rolling = city.rolling_field();
+  ASSERT_NE(rolling, nullptr);
+  // Unpublished, the live field falls through to the artifact's frozen
+  // one: answers match a standalone service over the same artifact.
+  const auto standalone = serve::EtaService::FromArtifact(
+      ArtifactV1(), city.network(), serve::EtaServiceOptions{});
 
-  ServerOptions options;
-  options.num_segments = dataset.network.num_segments();
-  options.live.rolling_field = &rolling;
-  options.live.drift = &drift;
-  DeepOdServer server(service, options);
+  DeepOdServer server(*fleet, ServerOptions{});
   server.Start();
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
@@ -687,12 +685,12 @@ TEST(ServerObserve, IngestsIntoHooksAndAnswersWithThePrediction) {
   EXPECT_EQ(response.request_id, 99u);
   EXPECT_EQ(response.status, Status::kOk);
   // The answer is the drift-scoring prediction for the trip's OD.
-  EXPECT_EQ(response.eta_seconds, service.Estimate(ods[0]));
+  EXPECT_EQ(response.eta_seconds, standalone->Estimate(ods[0]));
 
-  EXPECT_EQ(rolling.pending(), 1u);  // the known-segment observation
-  EXPECT_EQ(rolling.rejected(), 1u);
-  EXPECT_EQ(drift.Observations(), 1u);
-  EXPECT_GT(drift.RollingMae(), 0.0);
+  EXPECT_EQ(rolling->pending(), 1u);  // the known-segment observation
+  EXPECT_EQ(rolling->rejected(), 1u);
+  EXPECT_EQ(city.drift().Observations(), 1u);
+  EXPECT_GT(city.drift().RollingMae(), 0.0);
 
   // The connection stays usable for regular requests afterwards.
   RequestFrame request;
@@ -701,6 +699,12 @@ TEST(ServerObserve, IngestsIntoHooksAndAnswersWithThePrediction) {
   ASSERT_TRUE(client.Send(request));
   ASSERT_TRUE(client.ReadResponse(&response));
   EXPECT_EQ(response.status, Status::kOk);
+
+  // Publishing folds the observation in and moves the city's epoch.
+  const uint64_t epoch = city.service()->state()->epoch;
+  EXPECT_TRUE(city.PublishLiveSpeed());
+  EXPECT_EQ(city.service()->state()->epoch, epoch + 1);
+  EXPECT_FALSE(city.PublishLiveSpeed());  // nothing new since
 
   client.Close();
   server.Shutdown();
@@ -717,13 +721,15 @@ TEST(UnifiedStats, MergesEverySourceNameSorted) {
   drift.Observe(10.0, 12.0);
 
   serve::StatsSources sources;
-  sources.service = &service;
-  sources.drift = &drift;
+  sources.services.push_back(&service);
+  sources.extra.push_back(&drift.registry());
   const std::vector<obs::Record> records = serve::CollectStats(sources);
   ASSERT_FALSE(records.empty());
   bool saw_requests = false, saw_mae = false;
   for (size_t i = 0; i < records.size(); ++i) {
-    if (i > 0) EXPECT_LE(records[i - 1].name, records[i].name);
+    if (i > 0) {
+      EXPECT_LE(records[i - 1].name, records[i].name);
+    }
     saw_requests |= records[i].name == "serve/requests";
     saw_mae |= records[i].name == "drift/rolling_mae";
   }

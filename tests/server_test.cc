@@ -5,24 +5,30 @@
 //  - TokenBucket and AdmissionQueue are deterministic: quotas, queue
 //    capacity, strict priority order, deadline-infeasible shedding and the
 //    draining handshake all behave exactly as specified;
-//  - EtaService::TrySubmit bounds the producer wait (the Submit fix) and
-//    EstimateBatch matches Estimate;
-//  - a live DeepOdServer answers valid requests with the service's exact
-//    numbers, answers every protocol error with a typed frame while
-//    keeping the connection usable, sheds over the wire with retry-after
-//    hints, serves its obs registry through a stats frame, and answers
-//    every in-flight request across a graceful shutdown.
+//  - EtaService::EstimateBatch matches Estimate;
+//  - a live DeepOdServer over a one-row fleet (the single-city deployment)
+//    answers valid requests with a standalone service's exact numbers,
+//    answers every protocol error and every out-of-domain request or
+//    observe frame with a typed frame while keeping the connection usable,
+//    sheds over the wire with retry-after hints, serves its obs registry
+//    through a stats frame, and answers every in-flight request across a
+//    graceful shutdown.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
-#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/deepod_model.h"
+#include "io/model_artifact.h"
+#include "io/trip_io.h"
 #include "serve/eta_service.h"
+#include "serve/fleet_router.h"
 #include "serve/server/admission.h"
 #include "serve/server/frame.h"
 #include "serve/server/loadgen.h"
@@ -34,12 +40,15 @@ namespace {
 
 using namespace serve::net;
 
+// The network_id the test server's artifact is stamped with.
+constexpr uint32_t kNetworkId = 5;
+
 // --- Frame codec ------------------------------------------------------------
 
 RequestFrame SampleRequest() {
   RequestFrame frame;
   frame.request_id = 0x0123456789abcdefull;
-  frame.network_id = 5;  // ignored by single-city servers, routed by fleets
+  frame.network_id = kNetworkId;
   frame.tenant_id = 42;
   frame.priority = 2;
   frame.deadline_ms = 1500;
@@ -250,7 +259,7 @@ TEST(AdmissionQueue, EwmaSmoothsServiceTimes) {
   EXPECT_NEAR(queue.EwmaServiceSeconds(), 1.2, 1e-12);
 }
 
-// --- EtaService: TrySubmit + EstimateBatch ----------------------------------
+// --- EtaService: EstimateBatch ---------------------------------------------
 
 const sim::Dataset& TinyDataset() {
   static const sim::Dataset* dataset = [] {
@@ -290,23 +299,6 @@ std::vector<traj::OdInput> SampleOds(size_t n) {
   return ods;
 }
 
-TEST(EtaServiceTrySubmit, TimesOutInsteadOfBlockingForever) {
-  serve::EtaServiceOptions options;
-  options.queue_capacity = 1;
-  serve::EtaService service(TinyInferenceModel(), options);
-  service.PauseDispatcherForTest(true);
-  const auto ods = SampleOds(2);
-  auto first = service.TrySubmit(ods[0], std::chrono::milliseconds(50));
-  ASSERT_TRUE(first.has_value());  // fills the queue
-  const auto t0 = std::chrono::steady_clock::now();
-  auto second = service.TrySubmit(ods[1], std::chrono::milliseconds(50));
-  EXPECT_FALSE(second.has_value());  // bounded wait, not a deadlock
-  EXPECT_GE(std::chrono::steady_clock::now() - t0,
-            std::chrono::milliseconds(40));
-  service.PauseDispatcherForTest(false);
-  EXPECT_EQ(first->get(), service.Estimate(ods[0]));
-}
-
 TEST(EtaServiceEstimateBatch, MatchesEstimate) {
   serve::EtaService batched(TinyInferenceModel(), serve::EtaServiceOptions{});
   serve::EtaService single(TinyInferenceModel(), serve::EtaServiceOptions{});
@@ -325,34 +317,85 @@ TEST(EtaServiceEstimateBatch, MatchesEstimate) {
 
 // --- Live server over a real socket -----------------------------------------
 
+// TinyInferenceModel as a deployment ships it: an artifact stamped with
+// kNetworkId plus its network CSV, written once per process. Each file is
+// written under a per-process name and renamed into place, so concurrent
+// runs of this binary never read each other's half-written files.
+struct ArtifactFiles {
+  std::string artifact;
+  std::string network;
+};
+
+const ArtifactFiles& TinyArtifactFiles() {
+  static const ArtifactFiles* files = [] {
+    auto* f = new ArtifactFiles;
+    f->artifact = testing::TempDir() + "server_test.model.artifact";
+    f->network = testing::TempDir() + "server_test.network.csv";
+    const std::string tmp = "." + std::to_string(::getpid()) + ".tmp";
+    io::WriteNetworkCsv(TinyDataset().network, f->network + tmp);
+    io::ArtifactOptions options;
+    options.network_id = kNetworkId;
+    io::WriteModelArtifact(f->artifact + tmp, TinyInferenceModel(), nullptr,
+                           options);
+    std::rename((f->network + tmp).c_str(), f->network.c_str());
+    std::rename((f->artifact + tmp).c_str(), f->artifact.c_str());
+    return f;
+  }();
+  return *files;
+}
+
+RequestFrame ValidRequest(uint64_t request_id, const traj::OdInput& od) {
+  RequestFrame request;
+  request.request_id = request_id;
+  request.network_id = kNetworkId;
+  request.od = od;
+  return request;
+}
+
+// The out-of-domain repros: departures before the slotter's base (-3600 s
+// made TimeSlotter::Slot throw on an executor thread and took the whole
+// process down), one whose slot index overflows int64 (1e300 s came back
+// Ok with an ETA of about -7e296 s), and a position ratio far outside
+// [0, 1].
+std::vector<traj::OdInput> OutOfDomainOds() {
+  const traj::OdInput od = SampleOds(1)[0];
+  std::vector<traj::OdInput> out;
+  for (const double t : {-3600.0, -1e9, 1e300}) {
+    out.push_back(od);
+    out.back().departure_time = t;
+  }
+  out.push_back(od);
+  out.back().origin_ratio = 1e6;
+  return out;
+}
+
 class ServerTest : public ::testing::Test {
  protected:
-  // Starts a server with `mutate` applied to the default options and
-  // connects a client to it.
+  // Starts a server over the one-row fleet of TinyArtifactFiles, with
+  // `mutate` applied to the default options, and connects a client to it.
   void StartServer(void (*mutate)(ServerOptions*) = nullptr) {
-    serve::EtaServiceOptions service_options;
-    service_ = std::make_unique<serve::EtaService>(TinyInferenceModel(),
-                                                   service_options);
+    const ArtifactFiles& files = TinyArtifactFiles();
+    fleet_ = serve::FleetRouter::ForArtifact(files.artifact, files.network,
+                                             serve::FleetRouterOptions{});
+    expected_ = serve::EtaService::FromArtifact(
+        files.artifact, fleet_->shards()[0]->network(),
+        serve::EtaServiceOptions{});
     ServerOptions options;
-    options.num_segments = TinyDataset().network.num_segments();
     if (mutate != nullptr) mutate(&options);
-    server_ = std::make_unique<DeepOdServer>(*service_, options);
+    server_ = std::make_unique<DeepOdServer>(*fleet_, options);
     server_->Start();
     ASSERT_TRUE(client_.Connect("127.0.0.1", server_->port()));
   }
 
-  // Sends a valid request and expects the service's exact answer.
+  // Sends a valid request and expects a standalone service's exact answer.
   void ExpectOkRoundTrip(uint64_t request_id) {
     const auto ods = SampleOds(1);
-    RequestFrame request;
-    request.request_id = request_id;
-    request.od = ods[0];
-    ASSERT_TRUE(client_.Send(request));
+    ASSERT_TRUE(client_.Send(ValidRequest(request_id, ods[0])));
     ResponseFrame response;
     ASSERT_TRUE(client_.ReadResponse(&response));
     EXPECT_EQ(response.request_id, request_id);
     EXPECT_EQ(response.status, Status::kOk);
-    EXPECT_EQ(response.eta_seconds, service_->Estimate(ods[0]));
+    EXPECT_EQ(response.eta_seconds, expected_->Estimate(ods[0]));
   }
 
   // Sends raw wire bytes (length prefix included).
@@ -360,7 +403,8 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(WriteAll(client_.fd(), wire.data(), wire.size()));
   }
 
-  std::unique_ptr<serve::EtaService> service_;
+  std::unique_ptr<serve::FleetRouter> fleet_;
+  std::unique_ptr<serve::EtaService> expected_;
   std::unique_ptr<DeepOdServer> server_;
   Client client_;
 };
@@ -426,6 +470,49 @@ TEST_F(ServerTest, ExpiredDeadlineIsAnsweredWithoutQueueing) {
   ExpectOkRoundTrip(7);
 }
 
+TEST_F(ServerTest, OutOfDomainRequestsAreInvalidAndTheServerSurvives) {
+  StartServer();
+  uint64_t id = 20;
+  for (const traj::OdInput& od : OutOfDomainOds()) {
+    ++id;
+    ASSERT_TRUE(client_.Send(ValidRequest(id, od)));
+    ResponseFrame response;
+    ASSERT_TRUE(client_.ReadResponse(&response));
+    EXPECT_EQ(response.request_id, id);
+    EXPECT_EQ(response.status, Status::kInvalidRequest) << "request " << id;
+  }
+  ExpectOkRoundTrip(++id);
+}
+
+TEST_F(ServerTest, OutOfDomainObservesAreInvalidAndTheServerSurvives) {
+  StartServer();
+  uint64_t id = 30;
+  for (const traj::OdInput& od : OutOfDomainOds()) {
+    ObserveFrame frame;
+    frame.request_id = ++id;
+    frame.network_id = kNetworkId;
+    frame.od = od;
+    frame.actual_seconds = 600.0;
+    SendRaw(EncodeObserveFrame(frame));
+    ResponseFrame response;
+    ASSERT_TRUE(client_.ReadResponse(&response));
+    EXPECT_EQ(response.request_id, id);
+    EXPECT_EQ(response.status, Status::kInvalidRequest) << "observe " << id;
+  }
+  ExpectOkRoundTrip(++id);
+}
+
+TEST_F(ServerTest, UnknownNetworkIsRejected) {
+  StartServer();
+  RequestFrame request = ValidRequest(40, SampleOds(1)[0]);
+  request.network_id = kNetworkId + 1;
+  ASSERT_TRUE(client_.Send(request));
+  ResponseFrame response;
+  ASSERT_TRUE(client_.ReadResponse(&response));
+  EXPECT_EQ(response.status, Status::kUnknownNetwork);
+  ExpectOkRoundTrip(41);
+}
+
 TEST_F(ServerTest, OutOfRangeSegmentIsInvalid) {
   StartServer();
   RequestFrame request = SampleRequest();
@@ -467,10 +554,7 @@ TEST_F(ServerTest, QuotaShedsOverTheWireWithARetryHint) {
   const auto ods = SampleOds(1);
   uint64_t shed_count = 0;
   for (uint64_t id = 1; id <= 3; ++id) {
-    RequestFrame request;
-    request.request_id = id;
-    request.od = ods[0];
-    ASSERT_TRUE(client_.Send(request));
+    ASSERT_TRUE(client_.Send(ValidRequest(id, ods[0])));
     ResponseFrame response;
     ASSERT_TRUE(client_.ReadResponse(&response));
     if (response.status == Status::kShedQuota) {
@@ -487,10 +571,7 @@ TEST_F(ServerTest, GracefulShutdownAnswersEveryPipelinedRequest) {
   StartServer();
   const auto ods = SampleOds(8);
   for (uint64_t id = 0; id < 8; ++id) {
-    RequestFrame request;
-    request.request_id = id + 1;
-    request.od = ods[id];
-    ASSERT_TRUE(client_.Send(request));
+    ASSERT_TRUE(client_.Send(ValidRequest(id + 1, ods[id])));
   }
   std::thread shutdown([this] { server_->Shutdown(); });
   size_t answered = 0;
@@ -513,8 +594,9 @@ TEST_F(ServerTest, StatsFrameServesTheObsRegistry) {
   const std::string json = client_.FetchStatsJson();
   EXPECT_NE(json.find("server/requests"), std::string::npos);
   EXPECT_NE(json.find("server/admitted"), std::string::npos);
-  // The wrapped service's registry rides along.
-  EXPECT_NE(json.find("serve/"), std::string::npos);
+  // The city's service and drift monitor ride along under its name.
+  EXPECT_NE(json.find("serve/default/requests"), std::string::npos);
+  EXPECT_NE(json.find("drift/default/rolling_mae"), std::string::npos);
 }
 
 TEST_F(ServerTest, LoadgenDrivesTheServerWithoutLosses) {
@@ -525,6 +607,7 @@ TEST_F(ServerTest, LoadgenDrivesTheServerWithoutLosses) {
   load.duration_seconds = 0.5;
   load.connections = 2;
   load.num_segments = TinyDataset().network.num_segments();
+  load.network_ids = {kNetworkId};
   load.fetch_server_stats = true;
   const LoadgenReport report = RunLoadgen(load);
   EXPECT_GT(report.sent, 0u);

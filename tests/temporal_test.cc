@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "temporal/temporal_graph.h"
 #include "temporal/time_slot.h"
 
@@ -40,6 +42,20 @@ TEST(TimeSlotTest, NonDividingSlotSizeThrows) {
 TEST(TimeSlotTest, BeforeBaseThrows) {
   const TimeSlotter slotter(100.0, 300.0);
   EXPECT_THROW(slotter.Slot(50.0), std::invalid_argument);
+}
+
+TEST(TimeSlotTest, CoversExactlyWhereSlotIsDefined) {
+  const TimeSlotter slotter(100.0, 300.0);
+  EXPECT_TRUE(slotter.Covers(100.0));
+  EXPECT_TRUE(slotter.Covers(10.0 * kSecondsPerDay));
+  EXPECT_FALSE(slotter.Covers(50.0));  // Slot throws before the base
+  EXPECT_FALSE(slotter.Covers(-3600.0));
+  // Past 2^63 slots the index no longer fits int64.
+  EXPECT_TRUE(slotter.Covers(1e20));
+  EXPECT_FALSE(slotter.Covers(300.0 * 0x1p63 + 100.0));
+  EXPECT_FALSE(slotter.Covers(1e300));
+  EXPECT_FALSE(slotter.Covers(std::numeric_limits<double>::infinity()));
+  EXPECT_FALSE(slotter.Covers(std::numeric_limits<double>::quiet_NaN()));
 }
 
 TEST(TimeSlotTest, WeeklyNodeWrapsWeeks) {

@@ -1,7 +1,7 @@
-// deepod_server: the network front end. Loads a model artifact + road
-// network into an EtaService (predict-only, same loading path as
-// deepod_serve) and serves it over length-prefixed TCP with admission
-// control and continuous batching (DESIGN.md "Network serving").
+// deepod_server: the network front end. Serves model artifacts over
+// length-prefixed TCP with admission control and continuous batching
+// (DESIGN.md "Network serving"), predict-only, through the same loading
+// path as deepod_serve.
 //
 //   deepod_server --artifact model.artifact --network network.csv
 //                 [--host H] [--port P] [--max-batch N] [--executors N]
@@ -15,14 +15,18 @@
 //                 [--drift-window N] [--drift-trigger X]
 //   deepod_server --fleet fleet.csv [shared flags as above]
 //
-// Fleet mode (--fleet, mutually exclusive with --artifact/--network) serves
-// every city in the manifest from one process: requests route by their wire
-// network_id, each warm shard runs its own EtaService + (with --watch) its
-// own per-city hot-swap reloader, and a shard whose artifact is missing or
+// Every deployment is a fleet (serve::FleetRouter). --fleet serves every
+// city in the manifest from one process: requests route by their wire
+// network_id, each warm shard runs its own EtaService, drift monitor and
+// (with --watch) hot-swap reloader, and a shard whose artifact is missing or
 // corrupt serves from its OD-oracle fallback tier until a loadable artifact
 // appears ("fleet: activated CITY" is printed on each cold->warm
-// transition). --live-speed and --drift-trigger are single-city plumbing
-// and are rejected with --fleet.
+// transition). --artifact/--network (mutually exclusive with --fleet) is
+// the one-row fleet: city "default", routed by the network_id the artifact
+// was stamped with (0 unless deepod_train got --network-id), answered by
+// its model alone. An artifact that does not load exits 1 with its typed
+// load error. Per-city stats are named serve/<city>/*, reload/<city>/* and
+// drift/<city>/*.
 //
 // Prints "listening on HOST:PORT" once the socket is bound (port 0 binds
 // an ephemeral port; scripts parse the line to discover it). SIGTERM and
@@ -32,17 +36,18 @@
 // (serve::ExportStatsJson — identical to the wire stats frame) on the way
 // out.
 //
-// Live serving (DESIGN.md "Live serving"):
-//   --watch        polls the artifact path and hot-swaps a rewritten
+// Live serving (DESIGN.md "Live serving"), per city:
+//   --watch        polls each artifact path and hot-swaps a rewritten
 //                  artifact into the running service with zero downtime
-//                  (publish new artifacts with an atomic rename into place;
-//                  a corrupt artifact is rejected and the old model keeps
-//                  serving).
-//   --live-speed   stands up a RollingSpeedField fed by ObserveTrip frames;
-//                  a publish ticker folds ingested observations into served
-//                  matrices every --publish-ms and bumps the service epoch.
-//   --drift-trigger X  prints a retrain-trigger line when the rolling MAE
-//                  of predictions vs observed actuals crosses X seconds.
+//                  ("reloaded PATH" is printed as it goes live; publish new
+//                  artifacts with an atomic rename into place; a corrupt
+//                  artifact is rejected and the old model keeps serving).
+//   --live-speed   stands up a RollingSpeedField per city fed by ObserveTrip
+//                  frames; a publish ticker folds ingested observations into
+//                  served matrices every --publish-ms and bumps the city's
+//                  cache epoch.
+//   --drift-trigger X  prints a retrain-trigger line when a city's rolling
+//                  MAE of predictions vs observed actuals crosses X seconds.
 
 #include <csignal>
 #include <cstdio>
@@ -54,19 +59,11 @@
 #include <string>
 #include <thread>
 
-#include <vector>
-
 #include "cli_flags.h"
-#include "io/model_artifact.h"
-#include "io/trip_io.h"
 #include "nn/quant.h"
 #include "nn/serialize.h"
-#include "serve/drift_monitor.h"
-#include "serve/eta_service.h"
 #include "serve/fleet_router.h"
-#include "serve/model_reloader.h"
 #include "serve/server/server.h"
-#include "sim/rolling_speed_field.h"
 
 namespace {
 
@@ -78,16 +75,13 @@ void HandleStop(int) { g_stop = 1; }
 int main(int argc, char** argv) {
   using namespace deepod;
   std::string artifact_path, network_path, fleet_path, stats_json_path;
-  serve::EtaServiceOptions service_options;
+  serve::FleetRouterOptions fleet_options;
+  serve::EtaServiceOptions& service_options = fleet_options.service;
   serve::net::ServerOptions server_options;
-  bool watch = false;
   size_t poll_ms = 200;
   bool live_speed = false;
   size_t publish_ms = 1000;
-  double speed_grid_m = 200.0;    // sim::DatasetConfig::speed_grid_m default
-  double speed_window_s = 3600.0;
-  size_t drift_window = 256;
-  double drift_trigger = 0.0;
+  serve::LiveSpeedOptions live_options;
   const auto usage = [&argv] {
     std::fprintf(
         stderr,
@@ -143,7 +137,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--stats-json") {
       if (!flags.StringValue(&stats_json_path)) return 2;
     } else if (flag == "--watch") {
-      watch = true;
+      fleet_options.watch = true;
     } else if (flag == "--poll-ms") {
       if (!flags.SizeValue(&poll_ms)) return 2;
     } else if (flag == "--live-speed") {
@@ -151,13 +145,13 @@ int main(int argc, char** argv) {
     } else if (flag == "--publish-ms") {
       if (!flags.SizeValue(&publish_ms)) return 2;
     } else if (flag == "--speed-grid-m") {
-      if (!flags.DoubleValue(&speed_grid_m)) return 2;
+      if (!flags.DoubleValue(&live_options.grid_m)) return 2;
     } else if (flag == "--speed-window-s") {
-      if (!flags.DoubleValue(&speed_window_s)) return 2;
+      if (!flags.DoubleValue(&live_options.field.window_seconds)) return 2;
     } else if (flag == "--drift-window") {
-      if (!flags.SizeValue(&drift_window)) return 2;
+      if (!flags.SizeValue(&fleet_options.drift.window)) return 2;
     } else if (flag == "--drift-trigger") {
-      if (!flags.DoubleValue(&drift_trigger)) return 2;
+      if (!flags.DoubleValue(&fleet_options.drift.trigger_mae)) return 2;
     } else {
       return usage();
     }
@@ -172,130 +166,31 @@ int main(int argc, char** argv) {
                          "(or --fleet)\n");
     return 2;
   }
-  if (fleet_mode && (live_speed || drift_trigger > 0.0)) {
-    std::fprintf(stderr,
-                 "--live-speed/--drift-trigger are single-city only and "
-                 "cannot be combined with --fleet\n");
-    return 2;
-  }
 
-  std::unique_ptr<serve::FleetRouter> fleet;
-  road::RoadNetwork network;  // single mode only
-  std::unique_ptr<serve::EtaService> service;
-  std::shared_ptr<const serve::ServingState> initial_state;
-  if (fleet_mode) {
-    try {
-      std::vector<serve::FleetEntry> entries =
-          serve::ReadFleetManifest(fleet_path);
-      serve::FleetRouterOptions fleet_options;
-      fleet_options.service = service_options;
-      fleet_options.watch = watch;
-      fleet_options.reloader.poll_interval =
-          std::chrono::milliseconds(poll_ms);
-      fleet_options.activation_poll = std::chrono::milliseconds(poll_ms);
-      fleet_options.on_activate = [](const serve::FleetShard& shard) {
-        std::printf("fleet: activated %s (network_id %u)\n",
-                    shard.name().c_str(),
-                    static_cast<unsigned>(shard.network_id()));
-        std::fflush(stdout);
-      };
-      fleet = std::make_unique<serve::FleetRouter>(std::move(entries),
-                                                   fleet_options);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "fleet load failed: %s\n", e.what());
-      return 1;
-    }
-    std::printf("fleet: %zu cities, %zu warm\n", fleet->shards().size(),
-                fleet->WarmCount());
-    for (const auto& shard : fleet->shards()) {
-      std::printf("fleet: %s network_id=%u %s policy=%s\n",
-                  shard->name().c_str(),
-                  static_cast<unsigned>(shard->network_id()),
-                  shard->warm() ? "warm" : "cold",
-                  serve::FallbackPolicyName(shard->policy()));
-    }
-    // Per-shard segment validation; the global bound stays off.
-    server_options.num_segments = 0;
-  } else {
-    network = io::ReadNetworkCsv(network_path);
-    try {
-      service = serve::EtaService::FromArtifact(artifact_path, network,
-                                                service_options);
-    } catch (const nn::SerializeError& e) {
-      std::fprintf(stderr, "artifact load failed [%s]: %s\n",
-                   nn::LoadErrorKindName(e.status().kind), e.what());
-      return 1;
-    }
-    server_options.num_segments = network.num_segments();
-
-    // The construction epoch, pinned for the process lifetime: the rolling
-    // field's baseline points into this bundle's frozen speed field, so the
-    // bundle must survive hot swaps that would otherwise free it.
-    initial_state = service->state();
-  }
-
-  std::unique_ptr<sim::RollingSpeedField> rolling;
-  if (live_speed) {
-    const sim::SpeedProvider* baseline =
-        initial_state->bundle != nullptr ? initial_state->bundle->speed.get()
-                                         : nullptr;
-    const double snapshot_seconds =
-        baseline != nullptr ? baseline->snapshot_seconds()
-                            : initial_state->bundle->config.slot_seconds;
-    sim::RollingSpeedField::Options rolling_options;
-    rolling_options.window_seconds = speed_window_s;
-    rolling = std::make_unique<sim::RollingSpeedField>(
-        network, speed_grid_m, snapshot_seconds, baseline, rolling_options);
-    // Point the serving model at the live field (its empty table falls back
-    // to the artifact's frozen matrices, so behaviour is unchanged until
-    // the first publish) and invalidate what was cached under the frozen
-    // provider.
-    initial_state->model->SetSpeedProvider(rolling.get());
-    service->BumpEpoch();
-    std::printf("live speed field: %zux%zu grid, %.0fs snapshots, %.0fs "
-                "window\n",
-                rolling->rows(), rolling->cols(), snapshot_seconds,
-                speed_window_s);
-  }
-
-  serve::DriftMonitorOptions drift_options;
-  drift_options.window = drift_window;
-  drift_options.trigger_mae = drift_trigger;
-  serve::DriftMonitor drift(drift_options, [](double mae) {
-    std::printf("drift: retrain trigger fired (rolling MAE %.3f s)\n", mae);
+  fleet_options.reloader.poll_interval = std::chrono::milliseconds(poll_ms);
+  if (live_speed) fleet_options.live_speed = live_options;
+  fleet_options.on_activate = [](const serve::FleetShard& shard) {
+    std::printf("fleet: activated %s (network_id %u)\n", shard.name().c_str(),
+                static_cast<unsigned>(shard.network_id()));
     std::fflush(stdout);
-  });
+  };
+  fleet_options.on_reload = [](const serve::FleetShard& shard) {
+    // The operator-visible (and CI-greppable) record that a new artifact
+    // went live.
+    std::printf("reloaded %s\n", shard.artifact_path().c_str());
+    std::fflush(stdout);
+  };
+  fleet_options.on_drift_trigger = [](const serve::FleetShard& shard,
+                                      double mae) {
+    std::printf("drift: %s retrain trigger fired (rolling MAE %.3f s)\n",
+                shard.name().c_str(), mae);
+    std::fflush(stdout);
+  };
 
-  std::unique_ptr<serve::ModelReloader> reloader;
-  if (watch && !fleet_mode) {
-    serve::ModelReloaderOptions reloader_options;
-    reloader_options.poll_interval = std::chrono::milliseconds(poll_ms);
-    reloader_options.artifact.quant = service_options.quant;
-    sim::RollingSpeedField* rolling_ptr = rolling.get();
-    const std::string log_path = artifact_path;
-    reloader = std::make_unique<serve::ModelReloader>(
-        *service, artifact_path, network, reloader_options,
-        [rolling_ptr, log_path](serve::ServingState& state) {
-          // Swapped-in models serve live speeds from their first request.
-          if (rolling_ptr != nullptr) {
-            state.model->SetSpeedProvider(rolling_ptr);
-          }
-          // Runs on the watcher thread after a successful load+validate,
-          // immediately before the epoch flip — the operator-visible (and
-          // CI-greppable) record that a new artifact went live.
-          std::printf("reloaded %s\n", log_path.c_str());
-          std::fflush(stdout);
-        });
-    std::printf("watching %s (poll %zums)\n", artifact_path.c_str(), poll_ms);
-  }
-
-  server_options.live.rolling_field = rolling.get();
-  server_options.live.drift = &drift;
-  server_options.live.reloader = reloader.get();
-
-  // Block SIGTERM/SIGINT before the server spawns its threads so every
-  // thread inherits the blocked mask and delivery can only happen inside
-  // the main thread's sigsuspend window below (no lost-wakeup race).
+  // Block SIGTERM/SIGINT before the fleet (reloaders, activation watcher)
+  // and the server spawn their threads, so every thread inherits the
+  // blocked mask and delivery can only happen inside the main thread's
+  // sigsuspend window below (no lost-wakeup race).
   sigset_t stop_set, old_mask;
   sigemptyset(&stop_set);
   sigaddset(&stop_set, SIGTERM);
@@ -306,14 +201,49 @@ int main(int argc, char** argv) {
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
 
-  std::unique_ptr<serve::net::DeepOdServer> server;
+  std::unique_ptr<serve::FleetRouter> fleet;
   if (fleet_mode) {
-    server = std::make_unique<serve::net::DeepOdServer>(*fleet,
-                                                        server_options);
+    try {
+      fleet = std::make_unique<serve::FleetRouter>(
+          serve::ReadFleetManifest(fleet_path), fleet_options);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "fleet load failed: %s\n", e.what());
+      return 1;
+    }
   } else {
-    server = std::make_unique<serve::net::DeepOdServer>(*service,
-                                                        server_options);
+    try {
+      fleet = serve::FleetRouter::ForArtifact(artifact_path, network_path,
+                                              fleet_options);
+    } catch (const nn::SerializeError& e) {
+      std::fprintf(stderr, "artifact load failed [%s]: %s\n",
+                   nn::LoadErrorKindName(e.status().kind), e.what());
+      return 1;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "artifact load failed: %s\n", e.what());
+      return 1;
+    }
   }
+  std::printf("fleet: %zu cities, %zu warm\n", fleet->shards().size(),
+              fleet->WarmCount());
+  for (const auto& shard : fleet->shards()) {
+    std::printf("fleet: %s network_id=%u %s policy=%s\n",
+                shard->name().c_str(),
+                static_cast<unsigned>(shard->network_id()),
+                shard->warm() ? "warm" : "cold",
+                serve::FallbackPolicyName(shard->policy()));
+    if (const sim::RollingSpeedField* rolling = shard->rolling_field()) {
+      std::printf("fleet: %s live speed field: %zux%zu grid, %.0fs window\n",
+                  shard->name().c_str(), rolling->rows(), rolling->cols(),
+                  live_options.field.window_seconds);
+    }
+    if (fleet_options.watch && shard->warm()) {
+      std::printf("watching %s (poll %zums)\n",
+                  shard->artifact_path().c_str(), poll_ms);
+    }
+  }
+
+  auto server =
+      std::make_unique<serve::net::DeepOdServer>(*fleet, server_options);
   try {
     server->Start();
   } catch (const std::exception& e) {
@@ -324,13 +254,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned>(server->port()));
   std::fflush(stdout);
 
-  // Publish ticker: fold ingested observations into served matrices and
-  // bump the cache generation whenever anything new arrived.
+  // Publish ticker: fold each city's ingested observations into its served
+  // matrices and bump its cache generation whenever anything new arrived.
   std::thread publisher;
   std::mutex publish_mu;
   std::condition_variable publish_cv;
   bool publish_stop = false;
-  if (rolling != nullptr) {
+  if (live_speed) {
     publisher = std::thread([&] {
       for (;;) {
         {
@@ -339,7 +269,7 @@ int main(int argc, char** argv) {
                               [&] { return publish_stop; });
           if (publish_stop) return;
         }
-        if (rolling->Publish() > 0) service->BumpEpoch();
+        for (const auto& shard : fleet->shards()) shard->PublishLiveSpeed();
       }
     });
   }
@@ -359,8 +289,7 @@ int main(int argc, char** argv) {
     publish_cv.notify_all();
     publisher.join();
   }
-  if (reloader != nullptr) reloader->Stop();
-  if (fleet != nullptr) fleet->Stop();
+  fleet->Stop();
   server->Shutdown();
   if (!stats_json_path.empty()) {
     std::FILE* f = std::fopen(stats_json_path.c_str(), "w");
