@@ -12,18 +12,14 @@
 
 namespace deepod::nn {
 
-// (De)serialisation of model state. Two formats coexist:
-//
-//  * The tagged state-dict format (v2/v3) — the current on-disk contract.
-//    Self-describing: a magic/version header, one record per tensor holding
-//    its *name*, dtype, shape and payload, and a trailing checksum over the
-//    whole stream. Tensors are matched by name on load, so file layout is
-//    decoupled from module traversal order, config mismatches are detected
-//    (and reported) per tensor, and corruption is caught before any value is
-//    written into a model. See DESIGN.md, "Model lifecycle".
-//
-//  * The legacy positional blob (v1) — the original unnamed format kept for
-//    reading old checkpoints. New files are never written in it.
+// (De)serialisation of model state in the tagged state-dict format (v2/v3).
+// Self-describing: a magic/version header, one record per tensor holding its
+// *name*, dtype, shape and payload, and a trailing checksum over the whole
+// stream. Tensors are matched by name on load, so file layout is decoupled
+// from module traversal order, config mismatches are detected (and reported)
+// per tensor, and corruption is caught before any value is written into a
+// model. See DESIGN.md, "Model lifecycle". The original unnamed positional
+// blob (v1, magic 0xd33b0d01) is no longer read: it fails as kBadMagic.
 //
 // Byte layout of v2/v3 (all integers little-endian):
 //   u32  magic      0xd33b0d02 ("deepod" format, generation 2)
@@ -39,8 +35,9 @@ namespace deepod::nn {
 //       int8 — f64 scales[dims[0]] then i8 quantised data[product(dims)]
 //   u64  FNV-1a 64 checksum of every preceding byte
 //
-// Version policy (CONTRIBUTING.md: keep every reader, bump the version when
-// a record can carry something an old reader would misparse): files whose
+// Version policy (CONTRIBUTING.md: keep a reader for every version a
+// current producer writes, bump the version when a record can carry
+// something an old reader would misparse): files whose
 // records are all-f64 are written as version 2, byte-identical to the
 // pre-quantisation writer, so every existing artifact and reader keeps
 // working. The f16/int8 dtypes are only legal in version-3 files; a v2 file
@@ -52,7 +49,7 @@ namespace deepod::nn {
 enum class LoadErrorKind {
   kNone = 0,
   kIoError,           // file cannot be opened / read / written
-  kBadMagic,          // not a state-dict (or legacy) stream
+  kBadMagic,          // not a state-dict stream
   kBadVersion,        // recognised magic, unsupported format version
   kTruncated,         // stream ends inside a record
   kBadChecksum,       // payload bytes do not match the trailing checksum
@@ -61,7 +58,6 @@ enum class LoadErrorKind {
   kUnexpectedTensor,  // the file holds a tensor the model does not expect
   kShapeMismatch,     // name matched but shapes differ (config mismatch)
   kTrailingBytes,     // well-formed records followed by garbage
-  kCountMismatch,     // legacy blob: positional parameter count differs
 };
 
 // Outcome of a load/save operation. `tensor` names the first offending
@@ -162,11 +158,6 @@ std::vector<double> ReadRecordPayload(const std::vector<uint8_t>& buffer,
 std::vector<double> ReadRecordScales(const std::vector<uint8_t>& buffer,
                                      const TensorRecord& record);
 
-// True when the buffer starts with the v2 state-dict magic.
-bool IsStateDictBuffer(const std::vector<uint8_t>& buffer);
-// True when the buffer starts with the legacy positional-blob magic.
-bool IsLegacyParameterBuffer(const std::vector<uint8_t>& buffer);
-
 // File helpers (v2/v3). The QuantMode overload routes through the
 // quantising writer.
 LoadStatus SaveStateDict(const std::string& path, const StateDict& state);
@@ -174,30 +165,9 @@ LoadStatus SaveStateDict(const std::string& path, const StateDict& state,
                          QuantMode quant);
 LoadStatus LoadStateDict(const std::string& path, StateDict& state);
 
-// Reads a whole file into bytes (shared by the state-dict and legacy
-// readers; the caller sniffs the magic to pick a decoder).
+// Reads a whole file into bytes (the state-dict file reader, the artifact
+// loader and the inspector CLI).
 LoadStatus ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
-
-// --- Legacy positional blob (v1) --------------------------------------------
-
-// Serialises shapes + data of every parameter, identified by position only.
-// Legacy format — kept so pre-state-dict checkpoints and the property tests
-// that compare raw parameter bytes keep working; new code writes state
-// dicts.
-std::vector<uint8_t> SerializeParameters(const std::vector<Tensor>& params);
-
-// Restores parameter values in place; count and shapes must match the
-// buffer. Throws SerializeError (with a typed status) on any mismatch.
-void DeserializeParameters(const std::vector<uint8_t>& buffer,
-                           std::vector<Tensor>& params);
-
-// Byte size a SerializeParameters call would produce (without building it).
-size_t SerializedSize(const std::vector<Tensor>& params);
-
-// Legacy file helpers. LoadParameters throws SerializeError on open/decode
-// failure.
-void SaveParameters(const std::string& path, const std::vector<Tensor>& params);
-void LoadParameters(const std::string& path, std::vector<Tensor>& params);
 
 }  // namespace deepod::nn
 

@@ -211,8 +211,11 @@ class InferenceGuard {
 // Per-thread selection of the compute kernels used by the hot ops
 // (MatMul / Affine / Conv2d):
 //  - kLegacy:  the seed implementation's naive loops and plain allocation.
-//    Kept so the perf benches can measure an honest before/after in one
-//    binary and tests can pin down bit-identity with the original code.
+//    It stays as the test reference, not a serving choice (no CLI offers
+//    it): TrainerParallelTest.SingleThreadMatchesLegacySerialBitForBit and
+//    the tier loops of the inference/encoders/artifact tests compare
+//    kBlocked against it bit for bit, and the benches' "before" records
+//    run on it.
 //  - kBlocked: cache-blocked, B-transposed kernels plus the thread-local
 //    buffer pool. Same floating-point summation order as kLegacy, so
 //    results are bit-identical — this is the default.

@@ -71,7 +71,7 @@ struct EtaServiceOptions {
   // constructor, which serves the caller's model as-is. Quantised serving
   // answers match fp64 within an MAE budget — not bit-identically — so
   // golden replay against a quantised service needs a tolerance
-  // (deepod_serve --check --tolerance).
+  // (deepod_loadgen --golden --tolerance).
   nn::QuantMode quant = nn::QuantMode::kNone;
 
   // Prefix of every metric name in the service's registry. A fleet gives

@@ -56,8 +56,12 @@ size_t RollingSpeedField::Ingest(
     const bool known_segment =
         obs.segment_id < segment_cell_.size() &&
         segment_cell_[obs.segment_id] >= 0;
+    // Publish casts the snapshot index floor(time / snapshot_seconds) to
+    // int64, so it must fit (TimeSlotter::Covers' bound; 2^63 is exactly
+    // representable). The compare also rejects non-finite times.
+    const bool index_fits = std::abs(obs.time / snapshot_seconds_) < 0x1p63;
     if (!known_segment || !(obs.speed_mps > 0.0) ||
-        !std::isfinite(obs.speed_mps) || !std::isfinite(obs.time)) {
+        !std::isfinite(obs.speed_mps) || !index_fits) {
       ++rejected_;
       continue;
     }

@@ -77,9 +77,10 @@ class RollingSpeedField : public SpeedProvider {
                     const Options& options = Options());
 
   // Appends observations to the pending buffer. Observations for unknown
-  // segments or non-positive speeds are dropped (counted in the return
-  // value of Ingest as not-accepted). Does NOT change what MatrixAt serves
-  // — only Publish does.
+  // segments, non-positive or non-finite speeds, or a time whose snapshot
+  // index does not fit int64 (non-finite times included) are dropped and
+  // counted in rejected(). Returns the number accepted. Does NOT change
+  // what MatrixAt serves — only Publish does.
   size_t Ingest(std::span<const TripObservation> observations);
   void Ingest(const TripObservation& observation) {
     Ingest(std::span<const TripObservation>(&observation, 1));

@@ -1,6 +1,6 @@
 // End-to-end tests for the model lifecycle added with the named state-dict
-// refactor: Save/Load round trips (including BatchNorm running statistics
-// and legacy blobs), the self-contained serving artifact, serving from an
+// refactor: Save/Load round trips (including BatchNorm running
+// statistics), the self-contained serving artifact, serving from an
 // artifact through EtaService, and resumable trainer checkpoints.
 
 #include <gtest/gtest.h>
@@ -135,27 +135,6 @@ TEST(ModelStateTest, TrainingUpdatesAndCheckpointKeepsBatchNormStats) {
   }
   EXPECT_GT(buffers, 0u);
   EXPECT_GT(moved, 0u);
-}
-
-TEST(ModelStateTest, LegacyPositionalBlobStillLoads) {
-  core::DeepOdModel& trained = TrainedModel();
-  // Emulate a pre-state-dict checkpoint: positional parameters plus a
-  // trailing time-scale scalar.
-  auto params = trained.Parameters();
-  params.push_back(nn::Tensor::Scalar(trained.time_scale()));
-  const std::string path = TempPath("artifact_test_legacy.bin");
-  nn::SaveParameters(path, params);
-
-  core::DeepOdModel loaded(TinyConfig(), TinyDataset());
-  loaded.Load(path);
-  EXPECT_EQ(loaded.time_scale(), trained.time_scale());
-  const auto loaded_params = loaded.Parameters();
-  const auto trained_params = trained.Parameters();
-  ASSERT_EQ(loaded_params.size(), trained_params.size());
-  for (size_t i = 0; i < loaded_params.size(); ++i) {
-    EXPECT_EQ(loaded_params[i].data(), trained_params[i].data());
-  }
-  std::remove(path.c_str());
 }
 
 TEST(ModelStateTest, LoadWithWrongConfigNamesFirstMismatchingTensor) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "io/trip_io.h"
 #include "road/city_generator.h"
@@ -58,28 +59,28 @@ TEST(TripsCsvTest, RoundTripPreservesTripsAndRoutes) {
   WriteTripsCsv(ds.train, buffer);
   const auto restored = ReadTripsCsv(ds.network, buffer);
   ASSERT_EQ(restored.size(), ds.train.size());
+  // Every written field comes back exactly: doubles are written in shortest
+  // round-trip form and the matched OD representation is persisted.
   for (size_t i = 0; i < restored.size(); ++i) {
     const auto& a = ds.train[i];
     const auto& b = restored[i];
-    EXPECT_NEAR(a.od.departure_time, b.od.departure_time, 1e-6);
-    EXPECT_NEAR(a.travel_time, b.travel_time, 1e-6);
+    EXPECT_EQ(a.od.departure_time, b.od.departure_time);
+    EXPECT_EQ(a.od.origin.x, b.od.origin.x);
+    EXPECT_EQ(a.od.origin.y, b.od.origin.y);
+    EXPECT_EQ(a.od.destination.x, b.od.destination.x);
+    EXPECT_EQ(a.od.destination.y, b.od.destination.y);
     EXPECT_EQ(a.od.weather_type, b.od.weather_type);
+    EXPECT_EQ(a.travel_time, b.travel_time);
+    EXPECT_EQ(a.od.origin_segment, b.od.origin_segment);
+    EXPECT_EQ(a.od.origin_ratio, b.od.origin_ratio);
+    EXPECT_EQ(a.od.dest_segment, b.od.dest_segment);
+    EXPECT_EQ(a.od.dest_ratio, b.od.dest_ratio);
     ASSERT_EQ(a.trajectory.path.size(), b.trajectory.path.size());
     for (size_t e = 0; e < a.trajectory.path.size(); ++e) {
       EXPECT_EQ(a.trajectory.path[e].segment_id,
                 b.trajectory.path[e].segment_id);
-      EXPECT_NEAR(a.trajectory.path[e].enter, b.trajectory.path[e].enter, 1e-6);
-    }
-    // The re-derived matched OD representation agrees with the original up
-    // to carriageway direction: a bare point projects identically onto both
-    // directions of a two-way street, so Nearest may pick the reverse
-    // segment with the complementary ratio.
-    if (a.od.origin_segment == b.od.origin_segment) {
-      EXPECT_NEAR(a.od.origin_ratio, b.od.origin_ratio, 1e-6);
-    } else {
-      EXPECT_EQ(ds.network.ReverseSegment(a.od.origin_segment),
-                b.od.origin_segment);
-      EXPECT_NEAR(a.od.origin_ratio, 1.0 - b.od.origin_ratio, 1e-3);
+      EXPECT_EQ(a.trajectory.path[e].enter, b.trajectory.path[e].enter);
+      EXPECT_EQ(a.trajectory.path[e].exit, b.trajectory.path[e].exit);
     }
   }
 }
@@ -105,13 +106,28 @@ TEST(TripsCsvTest, OdOnlyRecordsHaveEmptyRoutes) {
 
 TEST(TripsCsvTest, RejectsBadRows) {
   const road::RoadNetwork net = SmallNet();
-  std::stringstream bad1("header\n1,2,3\n");
+  const std::string header =
+      "depart,origin_x,origin_y,dest_x,dest_y,weather,travel_time,"
+      "origin_seg,origin_ratio,dest_seg,dest_ratio,route\n";
+  std::stringstream good(header + "0,0,0,100,100,0,60,0,0.5,1,0.25,0:0:10\n");
+  ASSERT_EQ(ReadTripsCsv(net, good).size(), 1u);
+
+  std::stringstream bad1(header + "1,2,3\n");
   EXPECT_THROW(ReadTripsCsv(net, bad1), std::runtime_error);
-  std::stringstream bad2(
-      "header\n0,0,0,100,100,0,60,999999:0:10\n");  // segment out of range
-  EXPECT_THROW(ReadTripsCsv(net, bad2), std::runtime_error);
-  std::stringstream bad3("header\n0,0,abc,100,100,0,60,\n");
-  EXPECT_THROW(ReadTripsCsv(net, bad3), std::runtime_error);
+  std::stringstream bad2(header +
+                         "0,0,0,100,100,0,60,0,0.5,1,0.25,999999:0:10\n");
+  EXPECT_THROW(ReadTripsCsv(net, bad2), std::runtime_error);  // route seg
+  std::stringstream bad3(header + "0,0,0,100,100,0,60,999999,0.5,1,0.25,\n");
+  EXPECT_THROW(ReadTripsCsv(net, bad3), std::runtime_error);  // origin seg
+  std::stringstream bad4(header + "0,0,abc,100,100,0,60,0,0.5,1,0.25,\n");
+  EXPECT_THROW(ReadTripsCsv(net, bad4), std::runtime_error);
+  // The retired 8-field header (no matched OD columns) is not read.
+  std::stringstream legacy(
+      "depart,origin_x,origin_y,dest_x,dest_y,weather,travel_time,route\n"
+      "0,0,0,100,100,0,60,\n");
+  EXPECT_THROW(ReadTripsCsv(net, legacy), std::runtime_error);
+  std::stringstream empty("");
+  EXPECT_THROW(ReadTripsCsv(net, empty), std::runtime_error);
 }
 
 }  // namespace

@@ -240,13 +240,16 @@ TEST(RollingSpeedField, RejectsJunkAndRollsItsWindow) {
   sim::RollingSpeedField rolling(dataset.network, 200.0, 300.0, nullptr,
                                  options);
   const uint64_t segment = dataset.network.segments().front().id;
-  // Unknown segment, non-positive speed, non-finite time: all rejected.
+  // Unknown segment, non-positive speed, non-finite time, and times whose
+  // snapshot index does not fit int64: all rejected.
   const std::vector<sim::TripObservation> junk = {
       {1u << 30, 100.0, 5.0},
       {segment, 100.0, 0.0},
-      {segment, std::nan(""), 5.0}};
+      {segment, std::nan(""), 5.0},
+      {segment, 1e300, 5.0},
+      {segment, -1e300, 5.0}};
   EXPECT_EQ(rolling.Ingest({junk.data(), junk.size()}), 0u);
-  EXPECT_EQ(rolling.rejected(), 3u);
+  EXPECT_EQ(rolling.rejected(), 5u);
   EXPECT_EQ(rolling.Publish(), 0u);
 
   rolling.Ingest(sim::TripObservation{segment, 100.0, 5.0});

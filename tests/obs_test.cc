@@ -260,28 +260,28 @@ core::DeepOdConfig TinyConfig() {
 }
 
 TEST(ObsBitIdentityTest, MetricsModeDoesNotPerturbTraining) {
-  std::vector<uint8_t> params_off, params_metrics;
+  std::vector<uint8_t> state_off, state_metrics;
   double val_off = 0.0, val_metrics = 0.0;
   {
     ModeOverride off(obs::Mode::kOff);
     core::DeepOdModel model(TinyConfig(), TinyDataset());
     core::DeepOdTrainer trainer(model, TinyDataset());
     val_off = trainer.Train(nullptr, 1u << 30, 40);
-    params_off = nn::SerializeParameters(model.Parameters());
+    state_off = nn::SerializeStateDict(model.State());
   }
   {
     ModeOverride metrics(obs::Mode::kMetrics);
     core::DeepOdModel model(TinyConfig(), TinyDataset());
     core::DeepOdTrainer trainer(model, TinyDataset());
     val_metrics = trainer.Train(nullptr, 1u << 30, 40);
-    params_metrics = nn::SerializeParameters(model.Parameters());
+    state_metrics = nn::SerializeStateDict(model.State());
     // The wired-in trainer spans recorded into the global registry.
     EXPECT_GE(obs::Registry::Global().histogram("trainer/epoch").Count(), 1u);
     EXPECT_GE(
         obs::Registry::Global().histogram("trainer/validation").Count(), 1u);
   }
   EXPECT_EQ(val_off, val_metrics);
-  EXPECT_EQ(params_off, params_metrics);
+  EXPECT_EQ(state_off, state_metrics);
 }
 
 }  // namespace

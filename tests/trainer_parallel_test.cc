@@ -50,7 +50,7 @@ core::DeepOdConfig TinyConfig(size_t num_threads) {
 
 struct TrainOutcome {
   double final_val = 0.0;
-  std::vector<uint8_t> params;
+  std::vector<uint8_t> state;  // serialised state dict: parameters + buffers
 };
 
 TrainOutcome TrainOnce(size_t num_threads) {
@@ -58,7 +58,7 @@ TrainOutcome TrainOnce(size_t num_threads) {
   core::DeepOdTrainer trainer(model, TinyDataset());
   TrainOutcome out;
   out.final_val = trainer.Train(nullptr, 1u << 30, 40);
-  out.params = nn::SerializeParameters(model.Parameters());
+  out.state = nn::SerializeStateDict(model.State());
   return out;
 }
 
@@ -72,7 +72,7 @@ TEST(TrainerParallelTest, SingleThreadMatchesLegacySerialBitForBit) {
   nn::KernelModeScope legacy(nn::KernelMode::kLegacy);
   const TrainOutcome serial = TrainOnce(1);
   EXPECT_EQ(serial.final_val, blocked.final_val);
-  EXPECT_EQ(serial.params, blocked.params);
+  EXPECT_EQ(serial.state, blocked.state);
 }
 
 // --- fixed thread count > 1 is deterministic --------------------------------
@@ -81,7 +81,7 @@ TEST(TrainerParallelTest, FourThreadsDeterministicAcrossRuns) {
   const TrainOutcome first = TrainOnce(4);
   const TrainOutcome second = TrainOnce(4);
   EXPECT_EQ(first.final_val, second.final_val);
-  EXPECT_EQ(first.params, second.params);
+  EXPECT_EQ(first.state, second.state);
   // Sanity: the parallel run trained to a comparable error, i.e. the merged
   // gradients are the real mini-batch gradients, not garbage.
   const TrainOutcome serial = TrainOnce(1);

@@ -10,12 +10,9 @@
 
 namespace deepod::tools::cli {
 
-// Shared flag parsing for the CLI tools (deepod_train / deepod_serve /
-// deepod_server / deepod_loadgen). Before this helper each tool hand-rolled
-// the same argv walk — three private copies of --quant parsing, two of
-// --kernel, each with its own error text. FlagCursor owns the walk and the
-// typed value-takes, so a given flag parses and fails identically
-// everywhere:
+// Shared flag parsing for the CLI tools (deepod_train / deepod_server /
+// deepod_loadgen). FlagCursor owns the argv walk and the typed value-takes,
+// so a given flag parses and fails identically everywhere:
 //
 //   cli::FlagCursor flags(argc, argv);
 //   while (flags.Next()) {
@@ -49,8 +46,8 @@ class FlagCursor {
   // Domain-typed takes shared across tools.
   // --quant none|fp16|int8 (nn::ParseQuantMode under the hood).
   bool QuantValue(nn::QuantMode* out);
-  // --kernel legacy|blocked|vector|simd.
-  bool KernelValue(nn::KernelMode* out);
+  // --kernel blocked|vector|simd. kLegacy is not offered: it is the test
+  // reference tier (nn/tensor.h), not a serving choice.
   bool KernelValue(std::optional<nn::KernelMode>* out);
   // --tolerance X with the X >= 0 contract every replay gate shares.
   bool ToleranceValue(double* out);
@@ -61,7 +58,7 @@ class FlagCursor {
   // Canonical usage fragments, so every tool's --help names the shared
   // flags the same way.
   static const char* QuantHelp();      // "--quant none|fp16|int8"
-  static const char* KernelHelp();     // "--kernel legacy|blocked|vector|simd"
+  static const char* KernelHelp();     // "--kernel blocked|vector|simd"
   static const char* ToleranceHelp();  // "--tolerance X"
 
  private:

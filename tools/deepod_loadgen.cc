@@ -32,8 +32,11 @@
 //
 // --golden switches to replay mode: every query of a deepod_train --golden
 // file is sent over the wire and the answer compared against the recorded
-// prediction — bit-for-bit without --tolerance. This is the cross-process
-// twin of deepod_serve --check, and the post-hot-swap gate: replaying v2's
+// prediction — bit-for-bit without --tolerance, else within
+// |got - expected| <= X * max(1, |expected|), the contract a quantised
+// artifact or the kSimd tier (deepod_server --quant/--kernel) needs. It is
+// the artifact round-trip gate (replayed twice, the second pass answers
+// from the server's cache) and the post-hot-swap gate: replaying v2's
 // golden file against a server that swapped v1 -> v2 in place must match a
 // fresh v2 process exactly.
 
@@ -45,10 +48,10 @@
 #include <vector>
 
 #include "cli_flags.h"
-#include "golden_file.h"
 #include "io/trip_io.h"
 #include "obs/metrics.h"
 #include "serve/server/loadgen.h"
+#include "traj/trajectory.h"
 
 namespace {
 
@@ -73,13 +76,50 @@ bool ParseNetworkIds(const std::string& value, std::vector<uint32_t>* out) {
   return !out->empty();
 }
 
+// One row of a deepod_train --golden file: the OD query plus the training
+// process's own prediction for it.
+struct GoldenQuery {
+  deepod::traj::OdInput od;
+  double prediction = 0.0;
+};
+
+// Parses a deepod_train --golden file (hex-float fields, header line).
+bool ReadGoldenFile(const std::string& path, std::vector<GoldenQuery>* out) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return false;
+  char line[512];
+  bool header = true;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (header) {
+      header = false;
+      continue;
+    }
+    GoldenQuery q;
+    unsigned long long origin = 0, dest = 0;
+    int weather = 0;
+    // %la parses both hex-float and decimal doubles.
+    if (std::sscanf(line, "%llu,%llu,%la,%la,%la,%d,%la", &origin, &dest,
+                    &q.od.origin_ratio, &q.od.dest_ratio,
+                    &q.od.departure_time, &weather, &q.prediction) != 7) {
+      std::fclose(f);
+      return false;
+    }
+    q.od.origin_segment = static_cast<size_t>(origin);
+    q.od.dest_segment = static_cast<size_t>(dest);
+    q.od.weather_type = weather;
+    out->push_back(q);
+  }
+  std::fclose(f);
+  return true;
+}
+
 // Replays a golden file over one connection; returns the process exit code.
 int RunGoldenReplay(const std::string& host, uint16_t port,
                     const std::string& golden_path, double tolerance,
                     uint32_t network_id) {
   using namespace deepod;
-  std::vector<tools::GoldenQuery> golden;
-  if (!tools::ReadGoldenFile(golden_path, &golden)) {
+  std::vector<GoldenQuery> golden;
+  if (!ReadGoldenFile(golden_path, &golden)) {
     std::fprintf(stderr, "cannot parse %s\n", golden_path.c_str());
     return 1;
   }

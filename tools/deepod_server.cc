@@ -1,7 +1,6 @@
 // deepod_server: the network front end. Serves model artifacts over
 // length-prefixed TCP with admission control and continuous batching
-// (DESIGN.md "Network serving"), predict-only, through the same loading
-// path as deepod_serve.
+// (DESIGN.md "Network serving"), predict-only.
 //
 //   deepod_server --artifact model.artifact --network network.csv
 //                 [--host H] [--port P] [--max-batch N] [--executors N]

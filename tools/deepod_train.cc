@@ -6,11 +6,12 @@
 //   <out>/network.csv     the road network (io::WriteNetworkCsv)
 //   <out>/golden.csv      (--golden N) N test queries with this process's
 //                         predictions, hex-float encoded so a replay can be
-//                         compared bit-for-bit (see deepod_serve --check)
+//                         compared bit-for-bit (deepod_loadgen --golden
+//                         against a deepod_server on the artifact)
 //   <out>/model.<mode>.artifact  (--quant MODE) the same artifact with its
 //                         eligible weights stored quantised (fp16 or int8,
-//                         serialize-v3); replay it with deepod_serve
-//                         --tolerance, not bit-for-bit
+//                         serialize-v3); replay it with deepod_loadgen
+//                         --golden --tolerance, not bit-for-bit
 //
 // The defaults mirror the test suite's tiny dataset so a full
 // train->save->serve round trip finishes in CI time.
@@ -391,7 +392,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     // Hex floats (%a) round-trip doubles exactly; the replay in
-    // deepod_serve --check compares predictions bit-for-bit.
+    // deepod_loadgen --golden compares predictions bit-for-bit.
     std::fprintf(f,
                  "origin_segment,dest_segment,origin_ratio,dest_ratio,"
                  "departure_time,weather,prediction\n");
