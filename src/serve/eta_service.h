@@ -113,8 +113,8 @@ struct EtaServiceStats {
 // Live serving: the service holds its model, speed field and cache
 // generation as one immutable ServingState epoch (serving_state.h). Every
 // request path acquires one state snapshot for its whole unit of work, so
-// SwapState() — the zero-downtime hot-swap entry point the ModelReloader
-// drives — answers in-flight requests from the epoch they started on and
+// SwapState() — the zero-downtime hot-swap entry point the FleetRouter's
+// artifact watcher drives — answers in-flight requests from the epoch they started on and
 // new requests from the fresh one, with the epoch number keying the cache
 // so stale answers are unreachable. BumpEpoch() invalidates the cache and
 // the model's ocode memo without changing the model — the flip a

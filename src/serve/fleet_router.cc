@@ -8,23 +8,25 @@
 #include <utility>
 
 #include "io/trip_io.h"
-#include "nn/serialize.h"
 #include "serve/serving_state.h"
 
 namespace deepod::serve {
 namespace {
 
-// Stat signature of an artifact path (mirrors the ModelReloader's watcher:
-// any field change marks a new candidate, ENOENT folds into exists=false).
-FleetShard::FileSig StatPath(const std::string& path) {
-  FleetShard::FileSig sig;
+// A changed signature loads once it has been seen on this many consecutive
+// polls — a guard against catching a writer mid-copy. A rename(2) publish
+// (CONTRIBUTING.md) waits exactly one poll for it.
+constexpr int kStablePolls = 2;
+
+ArtifactSig StatArtifact(const std::string& path) {
+  ArtifactSig sig;
   struct stat st{};
   if (::stat(path.c_str(), &st) != 0) return sig;
   sig.exists = true;
   sig.size = static_cast<uint64_t>(st.st_size);
-  sig.mtime_ns =
-      static_cast<int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
-      static_cast<int64_t>(st.st_mtim.tv_nsec);
+  sig.inode = static_cast<uint64_t>(st.st_ino);
+  sig.mtime_ns = static_cast<int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+                 static_cast<int64_t>(st.st_mtim.tv_nsec);
   return sig;
 }
 
@@ -154,10 +156,17 @@ FleetShard::FleetShard(FleetEntry entry, obs::Registry& fleet_registry,
       ood_to_oracle_(
           fleet_registry.counter("fleet/" + entry_.name + "/ood_to_oracle")),
       rejected_(fleet_registry.counter("fleet/" + entry_.name + "/rejected")),
-      activation_failures_(fleet_registry.counter(
-          "fleet/" + entry_.name + "/activation_failures")),
-      cold_(fleet_registry.gauge("fleet/" + entry_.name + "/cold")) {
+      oracle_failures_(fleet_registry.counter("fleet/" + entry_.name +
+                                              "/oracle_failures")),
+      cold_(fleet_registry.gauge("fleet/" + entry_.name + "/cold")),
+      polls_(fleet_registry.counter("reload/" + entry_.name + "/polls")),
+      reloads_(fleet_registry.counter("reload/" + entry_.name + "/reloads")),
+      failures_(fleet_registry.counter("reload/" + entry_.name + "/failures")),
+      healthy_(fleet_registry.gauge("reload/" + entry_.name + "/healthy")),
+      load_seconds_(fleet_registry.histogram("reload/" + entry_.name +
+                                             "/load_seconds")) {
   cold_.Set(1.0);
+  healthy_.Set(1.0);
 }
 
 std::shared_ptr<EtaService> FleetShard::service() const {
@@ -224,11 +233,15 @@ void FleetShard::AdoptEstimators(
 // --- FleetRouter ------------------------------------------------------------
 
 FleetRouter::FleetRouter(const FleetRouterOptions& options)
-    : options_(options) {}
+    : options_(options) {
+  if (options_.poll_interval <= std::chrono::milliseconds(0)) {
+    options_.poll_interval = std::chrono::milliseconds(200);
+  }
+}
 
 FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
                          const FleetRouterOptions& options)
-    : options_(options) {
+    : FleetRouter(options) {
   if (entries.empty()) {
     throw std::invalid_argument("FleetRouter: empty fleet");
   }
@@ -252,13 +265,13 @@ FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
         shard->AdoptEstimators(std::move(bundle.oracle),
                                std::move(bundle.link_mean));
       } catch (const std::exception&) {
-        shard->activation_failures_.Add();
+        shard->oracle_failures_.Add();
       }
     }
     // Eager model load; failure (missing file, corrupt artifact) leaves
     // the shard cold and the fleet serving.
-    const FleetShard::FileSig sig = StatPath(shard->entry_.artifact_path);
-    if (sig.exists) TryActivate(*shard, sig);
+    const ArtifactSig sig = StatArtifact(shard->artifact_path());
+    if (sig.exists) TryLoad(*shard, sig);
   }
 
   StartWatcher();
@@ -274,19 +287,10 @@ std::unique_ptr<FleetRouter> FleetRouter::ForArtifact(
   entry.policy = FallbackPolicy::kModel;
   std::unique_ptr<FleetRouter> router(new FleetRouter(options));
   FleetShard& shard = router->AddShard(std::move(entry));
-  std::shared_ptr<ServingState> state = router->LoadState(shard);
   // No request has been routed yet: the row takes the artifact's stamp.
-  shard.entry_.network_id = state->bundle->network_id;
-  router->Activate(shard, std::move(state));
+  router->Load(shard, StatArtifact(artifact_path), /*adopt_stamp=*/true);
+  router->StartWatcher();
   return router;
-}
-
-std::shared_ptr<ServingState> FleetRouter::LoadState(
-    const FleetShard& shard) const {
-  io::ArtifactOptions artifact_options;
-  artifact_options.quant = options_.service.quant;
-  return LoadServingState(shard.entry_.artifact_path, shard.network_,
-                          artifact_options);
 }
 
 FleetShard& FleetRouter::AddShard(FleetEntry entry) {
@@ -296,9 +300,10 @@ FleetShard& FleetRouter::AddShard(FleetEntry entry) {
 }
 
 void FleetRouter::StartWatcher() {
-  // Activation is one-way: a fleet that starts fully warm never needs it.
-  if (WarmCount() < shards_.size()) {
-    watcher_ = std::thread([this] { ActivationLoop(); });
+  // Activation is one-way: a fleet that starts fully warm and is not
+  // watched never needs the thread.
+  if (options_.watch || WarmCount() < shards_.size()) {
+    watcher_ = std::thread([this] { WatchLoop(); });
   }
 }
 
@@ -307,21 +312,10 @@ FleetRouter::~FleetRouter() { Stop(); }
 void FleetRouter::Stop() {
   {
     std::lock_guard<std::mutex> lock(stop_mu_);
-    if (stopping_) return;
     stopping_ = true;
   }
   stop_cv_.notify_all();
   if (watcher_.joinable()) watcher_.join();
-  for (auto& shard : shards_) {
-    // Joined outside the shard lock: the reloader's prepare hook may run
-    // the on_reload callback, which is free to look at the shard.
-    ModelReloader* reloader;
-    {
-      std::lock_guard<std::mutex> lock(shard->mu_);
-      reloader = shard->reloader_.get();
-    }
-    if (reloader != nullptr) reloader->Stop();
-  }
 }
 
 FleetShard* FleetRouter::Resolve(uint32_t network_id) {
@@ -337,41 +331,95 @@ size_t FleetRouter::WarmCount() const {
   return warm;
 }
 
-size_t FleetRouter::ActivateNow() {
-  size_t activated = 0;
-  for (auto& shard : shards_) {
-    if (shard->warm()) continue;
-    const FleetShard::FileSig sig = StatPath(shard->entry_.artifact_path);
-    if (!sig.exists) continue;
-    shard->attempted_sig_.reset();  // bypass the corrupt-file memory
-    if (TryActivate(*shard, sig)) ++activated;
+size_t FleetRouter::PollNow() { return Sweep(/*force=*/true); }
+
+void FleetRouter::WatchLoop() {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(stop_mu_);
+      if (stop_cv_.wait_for(lock, options_.poll_interval,
+                            [this] { return stopping_; })) {
+        return;
+      }
+    }
+    Sweep(/*force=*/false);
   }
-  return activated;
 }
 
-bool FleetRouter::TryActivate(FleetShard& shard,
-                              const FleetShard::FileSig& sig) {
-  std::lock_guard<std::mutex> activation_lock(activation_mu_);
-  if (shard.warm()) return false;
-  shard.attempted_sig_ = sig;
-  std::shared_ptr<ServingState> state;
-  try {
-    state = LoadState(shard);
-    // A manifest/artifact mismatch (artifact trained for another city) is a
-    // load failure, not a serving state: the oracle keeps answering.
-    const uint32_t artifact_id =
-        state->bundle != nullptr ? state->bundle->network_id : 0;
-    if (artifact_id != 0 && artifact_id != shard.network_id()) {
-      throw std::runtime_error("artifact network_id " +
-                               std::to_string(artifact_id) + " != shard " +
-                               std::to_string(shard.network_id()));
+size_t FleetRouter::Sweep(bool force) {
+  std::lock_guard<std::mutex> lock(load_mu_);
+  size_t published = 0;
+  for (auto& shard : shards_) {
+    if (shard->warm() && !options_.watch) continue;
+    shard->polls_.Add();
+    const ArtifactSig sig = StatArtifact(shard->artifact_path());
+    // A missing file (rename in progress, city not trained yet) is not an
+    // error, and bytes already loaded or rejected are not tried again.
+    if (!sig.exists || sig == shard->attempted_sig_) {
+      shard->pending_polls_ = 0;
+      continue;
     }
+    if (shard->pending_polls_ > 0 && sig == shard->pending_sig_) {
+      ++shard->pending_polls_;
+    } else {
+      shard->pending_sig_ = sig;
+      shard->pending_polls_ = 1;
+    }
+    if (!force && shard->pending_polls_ < kStablePolls) continue;
+    shard->pending_polls_ = 0;
+    if (TryLoad(*shard, sig)) ++published;
+  }
+  return published;
+}
+
+bool FleetRouter::TryLoad(FleetShard& shard, const ArtifactSig& sig) {
+  try {
+    Load(shard, sig, /*adopt_stamp=*/false);
+    return true;
   } catch (const std::exception&) {
-    shard.activation_failures_.Add();
+    // Rollback: the shard never saw the rejected artifact and keeps
+    // answering from its current state (or its fallback tier while cold).
+    shard.failures_.Add();
+    shard.healthy_.Set(0.0);
     return false;
   }
-  Activate(shard, std::move(state));
-  return true;
+}
+
+void FleetRouter::Load(FleetShard& shard, const ArtifactSig& sig,
+                       bool adopt_stamp) {
+  // Recorded before the load: a write that lands while it runs is a new
+  // signature the next poll picks up.
+  shard.attempted_sig_ = sig;
+  const auto start = std::chrono::steady_clock::now();
+  io::ArtifactOptions artifact_options;
+  artifact_options.quant = options_.service.quant;
+  std::shared_ptr<ServingState> state =
+      LoadServingState(shard.artifact_path(), shard.network_, artifact_options);
+  // An artifact trained for another city is a load failure, not a serving
+  // state, even when its segment count happens to match.
+  const uint32_t stamp = state->bundle->network_id;
+  if (adopt_stamp) {
+    shard.entry_.network_id = stamp;
+  } else if (stamp != 0 && stamp != shard.network_id()) {
+    throw std::runtime_error("artifact network_id " + std::to_string(stamp) +
+                             " != shard " +
+                             std::to_string(shard.network_id()));
+  }
+  if (const std::shared_ptr<EtaService> service = shard.service()) {
+    // Swapped-in models serve live speeds from their first request.
+    if (sim::RollingSpeedField* live = shard.rolling_field()) {
+      state->model->SetSpeedProvider(live);
+    }
+    if (options_.on_reload) options_.on_reload(shard);
+    service->SwapState(std::move(state));
+  } else {
+    Activate(shard, std::move(state));
+  }
+  shard.load_seconds_.Observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
+  shard.reloads_.Add();
+  shard.healthy_.Set(1.0);
 }
 
 void FleetRouter::Activate(FleetShard& shard,
@@ -403,58 +451,14 @@ void FleetRouter::Activate(FleetShard& shard,
   service_options.registry_prefix = "serve/" + shard.name() + "/";
   auto service =
       std::make_shared<EtaService>(std::move(state), service_options);
-
-  std::unique_ptr<ModelReloader> reloader;
-  if (options_.watch) {
-    ModelReloaderOptions reloader_options = options_.reloader;
-    reloader_options.artifact.quant = options_.service.quant;
-    reloader_options.registry_prefix = "reload/" + shard.name() + "/";
-    reloader = std::make_unique<ModelReloader>(
-        *service, shard.entry_.artifact_path, shard.network_,
-        reloader_options,
-        [this, &shard, live = rolling.get()](ServingState& fresh) {
-          // Swapped-in models serve live speeds from their first request.
-          if (live != nullptr) fresh.model->SetSpeedProvider(live);
-          if (options_.on_reload) options_.on_reload(shard);
-        });
-  }
   {
     std::lock_guard<std::mutex> lock(shard.mu_);
     shard.pinned_state_ = std::move(pinned);
     shard.rolling_ = std::move(rolling);
     shard.service_ = std::move(service);
-    shard.reloader_ = std::move(reloader);
     shard.cold_.Set(0.0);
   }
   if (options_.on_activate) options_.on_activate(shard);
-}
-
-void FleetRouter::ActivationLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(stop_mu_);
-      if (stop_cv_.wait_for(lock, options_.reloader.poll_interval,
-                            [this] { return stopping_; })) {
-        return;
-      }
-    }
-    for (auto& shard : shards_) {
-      if (shard->warm()) continue;
-      const FleetShard::FileSig sig = StatPath(shard->entry_.artifact_path);
-      if (!sig.exists) {
-        shard->pending_sig_.reset();
-        continue;
-      }
-      if (shard->attempted_sig_ == sig) continue;  // corrupt-file memory
-      // One stability poll (two equal consecutive stats) guards against
-      // loading a file mid-copy; rename(2) publishes never wait extra.
-      if (shard->pending_sig_ == sig) {
-        TryActivate(*shard, sig);
-      } else {
-        shard->pending_sig_ = sig;
-      }
-    }
-  }
 }
 
 void FleetRouter::AppendStatsSources(StatsSources* sources) const {
@@ -464,9 +468,6 @@ void FleetRouter::AppendStatsSources(StatsSources* sources) const {
     std::lock_guard<std::mutex> lock(shard->mu_);
     if (shard->service_ != nullptr) {
       sources->services.push_back(shard->service_.get());
-    }
-    if (shard->reloader_ != nullptr) {
-      sources->extra.push_back(&shard->reloader_->registry());
     }
   }
 }

@@ -18,7 +18,6 @@
 #include "road/road_network.h"
 #include "serve/drift_monitor.h"
 #include "serve/eta_service.h"
-#include "serve/model_reloader.h"
 #include "serve/server/frame.h"
 #include "serve/stats.h"
 #include "sim/rolling_speed_field.h"
@@ -80,24 +79,22 @@ struct FleetRouterOptions {
   // Per-shard EtaService options. registry_prefix is overridden per city
   // ("serve/<name>/") so the merged stats export stays collision-free.
   EtaServiceOptions service;
-  // Watch each warm shard's artifact path and hot swap on change
-  // (per-city ModelReloader — swaps stay independent across cities).
-  // reloader.registry_prefix is overridden per city ("reload/<name>/").
-  // reloader.poll_interval is also the cadence at which cold shards'
-  // artifact paths are polled for activation.
+  // Also watch every warm shard's artifact path and hot swap it on change.
+  // Cold shards are watched either way (activation).
   bool watch = false;
-  ModelReloaderOptions reloader;
+  // Cadence of the artifact watcher's stat(2) sweep over the shards.
+  std::chrono::milliseconds poll_interval{200};
   // Set: every shard that goes warm gets a RollingSpeedField over its
   // network, fed by ObserveTrip frames (FleetShard::rolling_field) and
-  // served by its model and every model its reloader swaps in.
+  // served by its model and every model swapped in after it.
   std::optional<LiveSpeedOptions> live_speed;
   // Every shard's drift monitor. registry_prefix is overridden per city
   // ("drift/<name>/").
   DriftMonitorOptions drift;
-  // Invoked on the activating thread each time a cold shard goes warm
+  // Invoked on the loading thread each time a cold shard goes warm
   // (deepod_server prints its operator-visible activation line here).
   std::function<void(const FleetShard&)> on_activate;
-  // Invoked on a shard reloader's watcher thread after a reloaded artifact
+  // Invoked on the watcher thread after a new artifact for a warm shard
   // loaded and validated, right before it goes live.
   std::function<void(const FleetShard&)> on_reload;
   // Invoked when a shard's drift monitor fires its retrain trigger, on the
@@ -105,27 +102,27 @@ struct FleetRouterOptions {
   std::function<void(const FleetShard&, double rolling_mae)> on_drift_trigger;
 };
 
+// Identity of an artifact file's contents as far as stat(2) can see: a
+// change in any field marks a new candidate; ENOENT folds into !exists.
+struct ArtifactSig {
+  bool exists = false;
+  uint64_t size = 0;
+  uint64_t inode = 0;
+  int64_t mtime_ns = 0;
+  bool operator==(const ArtifactSig&) const = default;
+};
+
 // One city of the fleet: its road network, its fallback estimators, its
 // drift monitor and — once an artifact loads — its EtaService shard (own
-// ServingState, cache epoch, obs registry and, in watch mode,
-// ModelReloader; with live speed, its RollingSpeedField). Created cold when
-// the artifact is missing or unreadable at startup; the router's activation
-// watcher brings it warm the moment a loadable artifact appears. A shard
-// never goes warm → cold: activation is one-way, and later artifact changes
-// are the per-shard reloader's job.
+// ServingState, cache epoch and obs registry; with live speed, its
+// RollingSpeedField). Created cold when the artifact is missing or
+// unreadable at startup; the router's artifact watcher brings it warm the
+// moment a loadable artifact appears and, in watch mode, hot swaps every
+// later one. A shard never goes warm → cold.
 class FleetShard {
  public:
   FleetShard(FleetEntry entry, obs::Registry& fleet_registry,
              const FleetRouterOptions& options);
-
-  // Identity of an artifact file as far as stat can see (activation
-  // watcher; mirrors the ModelReloader's signature).
-  struct FileSig {
-    bool exists = false;
-    uint64_t size = 0;
-    int64_t mtime_ns = 0;
-    bool operator==(const FileSig&) const = default;
-  };
 
   uint32_t network_id() const { return entry_.network_id; }
   const std::string& name() const { return entry_.name; }
@@ -184,14 +181,13 @@ class FleetShard {
   DriftMonitor drift_;
 
   // Written once, under mu_, when the shard goes warm. Declared in
-  // destruction order: the reloader stops before the service goes, and
-  // every model reading the rolling field goes before the field, whose
-  // baseline points into the pinned construction state's bundle.
+  // destruction order: every model reading the rolling field goes before
+  // the field, whose baseline points into the pinned construction state's
+  // bundle.
   mutable std::mutex mu_;
   std::shared_ptr<const ServingState> pinned_state_;  // live speed only
   std::unique_ptr<sim::RollingSpeedField> rolling_;
-  std::shared_ptr<EtaService> service_;        // null while cold
-  std::unique_ptr<ModelReloader> reloader_;    // watch mode, after warm
+  std::shared_ptr<EtaService> service_;  // null while cold
   std::shared_ptr<const baselines::OdOracle> oracle_;
   std::shared_ptr<const baselines::LinkMeanEstimator> link_mean_;
 
@@ -200,17 +196,24 @@ class FleetShard {
   obs::Counter& shed_to_oracle_;
   obs::Counter& ood_to_oracle_;
   obs::Counter& rejected_;
-  obs::Counter& activation_failures_;
+  obs::Counter& oracle_failures_;
   obs::Gauge& cold_;
 
-  // Activation bookkeeping (router's watcher thread only).
-  std::optional<FileSig> pending_sig_;
-  std::optional<FileSig> attempted_sig_;
+  // The artifact watcher's instruments ("reload/<name>/*") and bookkeeping
+  // (the latter under the router's load_mu_).
+  obs::Counter& polls_;
+  obs::Counter& reloads_;
+  obs::Counter& failures_;
+  obs::Gauge& healthy_;
+  obs::Histogram& load_seconds_;
+  ArtifactSig attempted_sig_;  // last signature loaded or rejected
+  ArtifactSig pending_sig_;    // changed signature waiting to hold steady
+  int pending_polls_ = 0;
 };
 
 // The multi-city front of the serving stack: owns one FleetShard per
-// manifest row, resolves requests by wire network_id, and runs the
-// cold-shard activation watcher. The network server (serve/server) serves
+// manifest row, resolves requests by wire network_id, and runs the one
+// artifact watcher of the fleet. The network server (serve/server) serves
 // every deployment through a FleetRouter — a single city is a one-row
 // fleet (ForArtifact); the admission queue stays shared across cities (one
 // PopBatch scheduler, per-tenant quotas unchanged) and the executor groups
@@ -218,12 +221,21 @@ class FleetShard {
 //
 // Loading at construction: every network.csv is read eagerly (a missing
 // network is a hard error — routing is impossible without it); every
-// oracle artifact given in the manifest is loaded eagerly; every model
-// artifact is *attempted* — a missing or corrupt artifact leaves that
-// shard cold (counted in "fleet/<name>/activation_failures", gauge
-// "fleet/<name>/cold" = 1) and the rest of the fleet serving, which is the
-// partial-failure behaviour the oracle tier exists for. The activation
-// watcher runs only while some shard is cold.
+// oracle artifact given in the manifest is loaded eagerly (a failure counts
+// in "fleet/<name>/oracle_failures"); every model artifact is *attempted* —
+// a missing or corrupt artifact leaves that shard cold (gauge
+// "fleet/<name>/cold" = 1, a failed load counted in
+// "reload/<name>/failures") and the rest of the fleet serving, which is the
+// partial-failure behaviour the oracle tier exists for.
+//
+// The artifact watcher: one thread sweeps the shards every poll_interval,
+// polling cold shards always and warm ones in watch mode. A changed stat
+// signature that holds for two consecutive polls is loaded, validated
+// (network shape and network_id stamp) and published off the request path:
+// a cold shard activates, a warm one swaps state (RCU epoch flip). A
+// rejected artifact leaves the shard as it was and its signature is
+// remembered, so only different bytes get a new attempt. The thread runs
+// only when watching or when some shard starts cold.
 class FleetRouter {
  public:
   FleetRouter(std::vector<FleetEntry> entries,
@@ -251,17 +263,17 @@ class FleetRouter {
   }
   size_t WarmCount() const;
 
-  // One synchronous activation sweep over the cold shards, bypassing the
-  // poll cadence and stability guard (tests, CI). Returns the number of
-  // shards that went warm.
-  size_t ActivateNow();
+  // One synchronous watcher sweep that skips the stability guard but not
+  // the rejected-signature memory (tests). Returns the number of shards
+  // that published a new artifact.
+  size_t PollNow();
 
-  // Stops the activation watcher and every shard reloader (idempotent).
+  // Stops the artifact watcher (idempotent).
   void Stop();
 
   // Adds every warm shard's service to `sources->services`, and the
-  // router's registry plus every shard's reloader and drift monitor
-  // registries to `sources->extra`, for the merged stats export.
+  // router's registry plus every shard's drift monitor registry to
+  // `sources->extra`, for the merged stats export.
   void AppendStatsSources(StatsSources* sources) const;
 
   const obs::Registry& registry() const { return registry_; }
@@ -271,17 +283,22 @@ class FleetRouter {
 
   // Reads the row's network and appends its (cold) shard.
   FleetShard& AddShard(FleetEntry entry);
-  // Loads the shard's artifact against its network; throws
-  // nn::SerializeError on a corrupt or mismatched file.
-  std::shared_ptr<ServingState> LoadState(const FleetShard& shard) const;
-  // Starts the activation watcher when some shard is cold.
+  // Starts the artifact watcher when watching or when some shard is cold.
   void StartWatcher();
-  void ActivationLoop();
-  // Attempts to load `shard`'s artifact and publish its service. `sig` is
-  // remembered as attempted so a corrupt file is not re-tried every poll.
-  bool TryActivate(FleetShard& shard, const FleetShard::FileSig& sig);
+  void WatchLoop();
+  // Polls every watched shard once; `force` skips the stability guard.
+  // Returns the number of shards that published.
+  size_t Sweep(bool force);
+  // The one artifact load: records `sig` as attempted, loads the shard's
+  // artifact, checks its network_id stamp (or, with `adopt_stamp`, routes
+  // the shard by it) and publishes it: Activate on a cold shard, SwapState
+  // on a warm one. Throws (nn::SerializeError on a corrupt or mismatched
+  // file) and leaves the shard untouched on failure.
+  void Load(FleetShard& shard, const ArtifactSig& sig, bool adopt_stamp);
+  // Load, with a failure counted and remembered instead of thrown.
+  bool TryLoad(FleetShard& shard, const ArtifactSig& sig);
   // Builds and publishes the warm shard around a loaded state: fallback
-  // estimators, live speed field, service, reloader (cold → warm).
+  // estimators, live speed field, service (cold → warm).
   void Activate(FleetShard& shard, std::shared_ptr<ServingState> state);
 
   FleetRouterOptions options_;
@@ -289,7 +306,7 @@ class FleetRouter {
 
   obs::Registry registry_;
 
-  std::mutex activation_mu_;  // serialises TryActivate sweeps
+  std::mutex load_mu_;  // serialises sweeps and every shard's watcher state
 
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;

@@ -57,8 +57,8 @@ struct ServingState {
 
 // Loads `artifact_path` against `network` and wraps the bundle into an
 // un-adopted ServingState (epoch 0). Throws nn::SerializeError on a
-// corrupt, truncated or mismatched artifact — the typed error the reloader
-// turns into a rollback. `options.quant` requests load-time quantisation.
+// corrupt, truncated or mismatched artifact — the typed error the artifact
+// watcher turns into a rollback. `options.quant` requests load-time quantisation.
 std::shared_ptr<ServingState> LoadServingState(
     const std::string& artifact_path, const road::RoadNetwork& network,
     const io::ArtifactOptions& options);

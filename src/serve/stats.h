@@ -13,10 +13,10 @@ class EtaService;
 // The serving stack's stat sources, each optional and borrowed (they must
 // outlive the call). A serving process has the server front end's registry
 // ("server/*"), one EtaService per warm city ("serve/<city>/*"), and the
-// plain registries of the fleet router ("fleet/*"), the per-city reloaders
-// ("reload/<city>/*") and drift monitors ("drift/<city>/*"). Services are
-// listed apart from plain registries because their model-owned gauges are
-// refreshed before export.
+// plain registries of the fleet router ("fleet/*", and the artifact
+// watcher's "reload/<city>/*") and the per-city drift monitors
+// ("drift/<city>/*"). Services are listed apart from plain registries
+// because their model-owned gauges are refreshed before export.
 struct StatsSources {
   const obs::Registry* server = nullptr;
   std::vector<const EtaService*> services;

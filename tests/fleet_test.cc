@@ -5,11 +5,14 @@
 //    each warm shard answers bit-identically to a standalone EtaService
 //    stood up from the same artifact;
 //  - partial fleet failure is contained: one city's corrupt artifact leaves
-//    that shard cold (counted in fleet/<name>/activation_failures) and
-//    answering from the OD-oracle tier while the healthy cities serve
-//    unchanged;
-//  - ActivateNow() brings a cold shard warm the moment a loadable artifact
-//    appears, exactly once, firing on_activate;
+//    that shard cold (counted in reload/<name>/failures) and answering from
+//    the OD-oracle tier while the healthy cities serve unchanged;
+//  - one artifact watcher does both jobs: PollNow() brings a cold shard
+//    warm the moment a loadable artifact appears, exactly once, firing
+//    on_activate, and with watch on hot swaps the same shard's next
+//    artifact through the same load path, firing on_reload;
+//  - every load checks the network_id stamp: a watched warm shard keeps
+//    serving when an artifact stamped for another city lands at its path;
 //  - a DeepOdServer in fleet mode serves three cities from one process:
 //    model answers for the warm shards, oracle answers (tagged in the
 //    estimator byte) for the model-less city, typed kUnknownNetwork for
@@ -98,18 +101,51 @@ class FleetTest : public ::testing::Test {
                             &city->links);
     city->artifact_path = *root_ + "/" + name + ".model.artifact";
     if (with_model) {
-      core::DeepOdConfig model_config = core::DeepOdConfig().Scaled(16);
-      model_config.epochs = 1;
-      model_config.batch_size = 8;
-      core::DeepOdModel model(model_config, city->dataset);
+      core::DeepOdModel model(ModelConfig(), city->dataset);
       model.SetTraining(false);
-      io::ArtifactOptions options;
-      options.network_id = network_id;
-      options.oracle = &city->oracle;
-      options.link_mean = &city->links;
-      io::WriteModelArtifact(city->artifact_path, model, nullptr, options);
+      WriteArtifact(*city, model, city->artifact_path, network_id);
     }
     return city;
+  }
+
+  static core::DeepOdConfig ModelConfig() {
+    core::DeepOdConfig config = core::DeepOdConfig().Scaled(16);
+    config.epochs = 1;
+    config.batch_size = 8;
+    return config;
+  }
+
+  static void WriteArtifact(City& city, core::DeepOdModel& model,
+                            const std::string& path, uint32_t network_id) {
+    io::ArtifactOptions options;
+    options.network_id = network_id;
+    options.oracle = &city.oracle;
+    options.link_mean = &city.links;
+    io::WriteModelArtifact(path, model, nullptr, options);
+  }
+
+  // City a's model with other initial weights, stamped `network_id`: a
+  // retrain that answers differently from a.model.artifact.
+  static std::string RetrainedA(uint32_t network_id) {
+    static core::DeepOdModel* model = [] {
+      core::DeepOdConfig config = ModelConfig();
+      config.seed = 99;
+      auto* retrained = new core::DeepOdModel(config, city_a_->dataset);
+      retrained->SetTraining(false);
+      return retrained;
+    }();
+    const std::string path = *root_ + "/a.retrained" +
+                             std::to_string(network_id) + ".model.artifact";
+    WriteArtifact(*city_a_, *model, path, network_id);
+    return path;
+  }
+
+  // Publishes `src` at `dst` with an atomic rename, as CONTRIBUTING.md
+  // prescribes for watched artifact paths.
+  static void PublishArtifact(const std::string& src, const std::string& dst) {
+    std::filesystem::copy_file(src, dst + ".tmp",
+                               std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::rename(dst + ".tmp", dst);
   }
 
   static std::string WriteManifest(const std::string& filename,
@@ -129,11 +165,11 @@ class FleetTest : public ::testing::Test {
     return od;
   }
 
-  // Options that keep the activation watcher out of the tests' way (poll
-  // far slower than any test runs; ActivateNow() drives activation).
+  // Options that keep the artifact watcher out of the tests' way (poll far
+  // slower than any test runs; PollNow() drives it).
   static serve::FleetRouterOptions QuietOptions() {
     serve::FleetRouterOptions options;
-    options.reloader.poll_interval = std::chrono::milliseconds(600000);
+    options.poll_interval = std::chrono::milliseconds(600000);
     return options;
   }
 
@@ -280,7 +316,9 @@ TEST_F(FleetTest, CorruptArtifactLeavesOneCityOnOracleWhileOthersServe) {
   serve::FleetShard* b = router.Resolve(2);
   ASSERT_NE(b, nullptr);
   EXPECT_FALSE(b->warm());
-  EXPECT_GE(CounterValue(router, "fleet/b/activation_failures"), 1.0);
+  EXPECT_GE(CounterValue(router, "reload/b/failures"), 1.0);
+  EXPECT_EQ(CounterValue(router, "reload/b/healthy"), 0.0);
+  EXPECT_EQ(CounterValue(router, "fleet/b/oracle_failures"), 0.0);
   EXPECT_EQ(CounterValue(router, "fleet/b/cold"), 1.0);
   EXPECT_EQ(CounterValue(router, "fleet/a/cold"), 0.0);
 
@@ -307,9 +345,9 @@ TEST_F(FleetTest, CorruptArtifactLeavesOneCityOnOracleWhileOthersServe) {
   router.Stop();
 }
 
-// --- Cold-shard activation ---------------------------------------------------
+// --- The artifact watcher ---------------------------------------------------
 
-TEST_F(FleetTest, ActivateNowBringsAColdShardWarmExactlyOnce) {
+TEST_F(FleetTest, PollNowActivatesAColdShardOnceThenHotSwapsIt) {
   const std::string pending = *root_ + "/pending.model.artifact";
   std::filesystem::remove(pending);
   const std::string path = WriteManifest(
@@ -317,28 +355,85 @@ TEST_F(FleetTest, ActivateNowBringsAColdShardWarmExactlyOnce) {
       {"1,a,a.network.csv,pending.model.artifact,a.oracle.artifact,oracle"});
 
   serve::FleetRouterOptions options = QuietOptions();
-  std::vector<std::string> activated;
+  options.watch = true;
+  std::vector<std::string> activated, reloaded;
   options.on_activate = [&activated](const serve::FleetShard& shard) {
     activated.push_back(shard.name());
+  };
+  options.on_reload = [&reloaded](const serve::FleetShard& shard) {
+    reloaded.push_back(shard.name());
   };
   serve::FleetRouter router(serve::ReadFleetManifest(path), options);
   serve::FleetShard* a = router.Resolve(1);
   ASSERT_NE(a, nullptr);
   EXPECT_FALSE(a->warm());
-  EXPECT_EQ(router.ActivateNow(), 0u);  // nothing to load yet
+  EXPECT_EQ(router.PollNow(), 0u);  // nothing to load yet
 
   std::filesystem::copy_file(city_a_->artifact_path, pending);
-  EXPECT_EQ(router.ActivateNow(), 1u);
+  EXPECT_EQ(router.PollNow(), 1u);
   EXPECT_TRUE(a->warm());
   EXPECT_EQ(router.WarmCount(), 1u);
   ASSERT_EQ(activated.size(), 1u);
   EXPECT_EQ(activated[0], "a");
-  EXPECT_EQ(router.ActivateNow(), 0u);  // one-way, no re-activation
+  EXPECT_EQ(router.PollNow(), 0u);  // one-way, no re-activation or reload
+  EXPECT_TRUE(reloaded.empty());
 
   const traj::OdInput od = SampleOd(*city_a_);
   const auto standalone = serve::EtaService::FromArtifact(
       city_a_->artifact_path, a->network(), serve::EtaServiceOptions{});
   EXPECT_EQ(a->service()->Estimate(od), standalone->Estimate(od));
+
+  // The next artifact for the now-warm shard goes through the same load
+  // path as a hot swap: same service, new epoch, new answers.
+  const std::string retrained = RetrainedA(1);
+  const std::shared_ptr<serve::EtaService> service = a->service();
+  PublishArtifact(retrained, pending);
+  EXPECT_EQ(router.PollNow(), 1u);
+  EXPECT_EQ(a->service(), service);
+  EXPECT_EQ(service->state()->epoch, 1u);
+  EXPECT_EQ(activated.size(), 1u);
+  ASSERT_EQ(reloaded.size(), 1u);
+  EXPECT_EQ(reloaded[0], "a");
+  const auto fresh = serve::EtaService::FromArtifact(
+      retrained, a->network(), serve::EtaServiceOptions{});
+  EXPECT_NE(fresh->Estimate(od), standalone->Estimate(od));
+  EXPECT_EQ(service->Estimate(od), fresh->Estimate(od));
+  EXPECT_EQ(CounterValue(router, "reload/a/reloads"), 2.0);
+  EXPECT_EQ(CounterValue(router, "reload/a/failures"), 0.0);
+  router.Stop();
+}
+
+TEST_F(FleetTest, HotSwapRejectsAnArtifactStampedForAnotherCity) {
+  const std::string watched = *root_ + "/stamped.model.artifact";
+  PublishArtifact(city_a_->artifact_path, watched);
+  const std::string path = WriteManifest(
+      "manifest_stamped.csv",
+      {"1,a,a.network.csv,stamped.model.artifact,a.oracle.artifact,model"});
+  serve::FleetRouterOptions options = QuietOptions();
+  options.watch = true;
+  serve::FleetRouter router(serve::ReadFleetManifest(path), options);
+  serve::FleetShard* a = router.Resolve(1);
+  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(a->warm());
+  std::vector<double> before;
+  for (size_t i = 0; i < 8; ++i) {
+    before.push_back(a->service()->Estimate(SampleOd(*city_a_, i)));
+  }
+
+  // City a's network, different weights, but stamped for city 2: the
+  // segment count matches, the stamp does not.
+  PublishArtifact(RetrainedA(2), watched);
+  EXPECT_EQ(router.PollNow(), 0u);
+  EXPECT_EQ(CounterValue(router, "reload/a/failures"), 1.0);
+  EXPECT_EQ(CounterValue(router, "reload/a/healthy"), 0.0);
+  EXPECT_EQ(a->service()->state()->epoch, 0u);
+  for (size_t i = 0; i < 8; ++i) {
+    const double eta = a->service()->Estimate(SampleOd(*city_a_, i));
+    EXPECT_EQ(std::memcmp(&eta, &before[i], sizeof(double)), 0) << i;
+  }
+  // Remembered: the rejected bytes are not tried again.
+  EXPECT_EQ(router.PollNow(), 0u);
+  EXPECT_EQ(CounterValue(router, "reload/a/failures"), 1.0);
   router.Stop();
 }
 

@@ -6,8 +6,10 @@
 //  - the epoch-keyed cache: BumpEpoch makes cached answers unreachable,
 //    SwapState answers new requests from the new model bit-identically to a
 //    fresh process while in-flight work finishes on the old epoch;
-//  - ModelReloader hot-swaps a rewritten artifact, rolls back (keeps
-//    serving) on a corrupt one, and recovers on the next good write;
+//  - the FleetRouter's artifact watcher (a watched --artifact deployment)
+//    adopts the file it booted from, hot-swaps a rewritten artifact, rolls
+//    back (keeps serving) on a corrupt one, and recovers on the next good
+//    write;
 //  - swap under sustained load: concurrent Estimate/EstimateBatch traffic
 //    across repeated swaps, zero failures, post-swap answers bit-identical
 //    to a fresh process on the final artifact;
@@ -41,7 +43,6 @@
 #include "serve/drift_monitor.h"
 #include "serve/eta_service.h"
 #include "serve/fleet_router.h"
-#include "serve/model_reloader.h"
 #include "serve/server/frame.h"
 #include "serve/server/loadgen.h"
 #include "serve/server/server.h"
@@ -326,33 +327,61 @@ TEST(EtaServiceEpoch, SwapStateMatchesFreshProcessBitForBit) {
   EXPECT_EQ(held->model->Predict(ods[0]), fresh_v1->Estimate(ods[0]));
 }
 
-// --- ModelReloader ----------------------------------------------------------
+// --- Artifact watcher (hot swap) -------------------------------------------
 
-TEST(ModelReloader, SwapsOnChangeRollsBackOnCorruptionRecovers) {
+const std::string& NetworkPath() {
+  static const std::string* path = [] {
+    auto* p = new std::string(TempPath("live_serving.network.csv"));
+    io::WriteNetworkCsv(TinyDataset().network, *p);
+    return p;
+  }();
+  return *path;
+}
+
+// A watched one-row fleet over `artifact` — what deepod_server --artifact
+// --watch stands up.
+std::unique_ptr<serve::FleetRouter> WatchedFleet(
+    const std::string& artifact, std::chrono::milliseconds poll_interval) {
+  serve::FleetRouterOptions options;
+  options.watch = true;
+  options.poll_interval = poll_interval;
+  return serve::FleetRouter::ForArtifact(artifact, NetworkPath(), options);
+}
+
+double Metric(const serve::FleetRouter& fleet, const std::string& name) {
+  for (const auto& record : fleet.registry().Export()) {
+    if (record.name != name) continue;
+    if (record.count.has_value()) return *record.count;
+    if (record.value.has_value()) return *record.value;
+  }
+  return -1.0;
+}
+
+TEST(ArtifactWatcher, SwapsOnChangeRollsBackOnCorruptionRecovers) {
   const auto& network = TinyDataset().network;
   const std::string watched = TempPath("live_serving_watched.artifact");
   PublishArtifact(ArtifactV1(), watched);
 
+  const auto fleet = WatchedFleet(watched, std::chrono::hours(1));  // PollNow
+  const std::shared_ptr<serve::EtaService> service =
+      fleet->shards()[0]->service();
   serve::EtaServiceOptions service_options;
-  auto service =
-      serve::EtaService::FromArtifact(watched, network, service_options);
   auto fresh_v1 = serve::EtaService::FromArtifact(ArtifactV1(), network,
                                                   service_options);
   auto fresh_v2 = serve::EtaService::FromArtifact(ArtifactV2(), network,
                                                   service_options);
-  serve::ModelReloaderOptions reloader_options;
-  reloader_options.poll_interval = std::chrono::hours(1);  // ReloadNow only
-  serve::ModelReloader reloader(*service, watched, network, reloader_options);
 
-  // Construction adopted the served file as baseline: nothing to do.
-  EXPECT_FALSE(reloader.ReloadNow());
-  EXPECT_EQ(reloader.StatusSnapshot().reloads, 0u);
-  EXPECT_TRUE(reloader.StatusSnapshot().healthy);
+  // The boot load recorded the served file as baseline: nothing to do.
+  EXPECT_EQ(Metric(*fleet, "reload/default/reloads"), 1.0);
+  EXPECT_EQ(fleet->PollNow(), 0u);
+  EXPECT_EQ(Metric(*fleet, "reload/default/reloads"), 1.0);
+  EXPECT_EQ(Metric(*fleet, "reload/default/healthy"), 1.0);
+  EXPECT_EQ(service->state()->epoch, 0u);
 
   const auto ods = TestOds(4);
   PublishArtifact(ArtifactV2(), watched);
-  EXPECT_TRUE(reloader.ReloadNow());
-  EXPECT_EQ(reloader.StatusSnapshot().reloads, 1u);
+  EXPECT_EQ(fleet->PollNow(), 1u);
+  EXPECT_EQ(Metric(*fleet, "reload/default/reloads"), 2.0);
   EXPECT_EQ(service->state()->source, watched);
   for (const auto& od : ods) {
     EXPECT_EQ(service->Estimate(od), fresh_v2->Estimate(od));
@@ -365,62 +394,56 @@ TEST(ModelReloader, SwapsOnChangeRollsBackOnCorruptionRecovers) {
     std::fputs("not an artifact", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(reloader.ReloadNow());
-  const auto status = reloader.StatusSnapshot();
-  EXPECT_EQ(status.failures, 1u);
-  EXPECT_FALSE(status.healthy);
-  EXPECT_FALSE(status.last_error.empty());
+  EXPECT_EQ(fleet->PollNow(), 0u);
+  EXPECT_EQ(Metric(*fleet, "reload/default/failures"), 1.0);
+  EXPECT_EQ(Metric(*fleet, "reload/default/healthy"), 0.0);
   for (const auto& od : ods) {
     EXPECT_EQ(service->Estimate(od), fresh_v2->Estimate(od));
   }
   // The corrupt bytes are remembered: no retry until the content changes.
-  EXPECT_FALSE(reloader.ReloadNow());
-  EXPECT_EQ(reloader.StatusSnapshot().failures, 1u);
+  EXPECT_EQ(fleet->PollNow(), 0u);
+  EXPECT_EQ(Metric(*fleet, "reload/default/failures"), 1.0);
 
   // A good write recovers.
   PublishArtifact(ArtifactV1(), watched);
-  EXPECT_TRUE(reloader.ReloadNow());
-  EXPECT_TRUE(reloader.StatusSnapshot().healthy);
+  EXPECT_EQ(fleet->PollNow(), 1u);
+  EXPECT_EQ(Metric(*fleet, "reload/default/healthy"), 1.0);
   for (const auto& od : ods) {
     EXPECT_EQ(service->Estimate(od), fresh_v1->Estimate(od));
   }
+  EXPECT_EQ(service->StatsSnapshot().swaps, 2u);
 }
 
-TEST(ModelReloader, WatcherPicksUpRenamedArtifact) {
-  const auto& network = TinyDataset().network;
+TEST(ArtifactWatcher, PollLoopPicksUpRenamedArtifact) {
   const std::string watched = TempPath("live_serving_polled.artifact");
   PublishArtifact(ArtifactV1(), watched);
-  serve::EtaServiceOptions service_options;
-  auto service =
-      serve::EtaService::FromArtifact(watched, network, service_options);
-  serve::ModelReloaderOptions reloader_options;
-  reloader_options.poll_interval = std::chrono::milliseconds(20);
-  reloader_options.stability_polls = 1;
-  serve::ModelReloader reloader(*service, watched, network, reloader_options);
+  const auto fleet = WatchedFleet(watched, std::chrono::milliseconds(20));
+  const std::shared_ptr<serve::EtaService> service =
+      fleet->shards()[0]->service();
 
   PublishArtifact(ArtifactV2(), watched);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (reloader.StatusSnapshot().reloads == 0 &&
+  while (service->state()->epoch == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(reloader.StatusSnapshot().reloads, 1u);
+  fleet->Stop();
   EXPECT_EQ(service->state()->epoch, 1u);
+  EXPECT_EQ(Metric(*fleet, "reload/default/reloads"), 2.0);  // boot + swap
+  EXPECT_GE(Metric(*fleet, "reload/default/polls"), 2.0);
 }
 
 // --- Swap under sustained load ----------------------------------------------
 
-TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
+TEST(ArtifactWatcher, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
   const auto& network = TinyDataset().network;
   const std::string watched = TempPath("live_serving_underload.artifact");
   PublishArtifact(ArtifactV1(), watched);
+  const auto fleet = WatchedFleet(watched, std::chrono::hours(1));
+  const std::shared_ptr<serve::EtaService> service =
+      fleet->shards()[0]->service();
   serve::EtaServiceOptions service_options;
-  auto service =
-      serve::EtaService::FromArtifact(watched, network, service_options);
-  serve::ModelReloaderOptions reloader_options;
-  reloader_options.poll_interval = std::chrono::hours(1);
-  serve::ModelReloader reloader(*service, watched, network, reloader_options);
 
   const auto ods = TestOds(16);
   // Every answer a concurrent client ever sees must be bit-identical to
@@ -472,7 +495,7 @@ TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
   const int kSwaps = 6;
   for (int swap = 0; swap < kSwaps; ++swap) {
     PublishArtifact(swap % 2 == 0 ? ArtifactV2() : ArtifactV1(), watched);
-    ASSERT_TRUE(reloader.ReloadNow()) << "swap " << swap;
+    ASSERT_EQ(fleet->PollNow(), 1u) << "swap " << swap;
   }
   stop.store(true);
   for (auto& t : traffic) t.join();
@@ -653,12 +676,10 @@ TEST(ServerObserve, IngestsIntoHooksAndAnswersWithThePrediction) {
   using namespace serve::net;
   // A one-row fleet with live speed over the v1 artifact (stamped 0),
   // exactly what deepod_server --artifact --live-speed stands up.
-  const std::string network_path = TempPath("live_serving.network.csv");
-  io::WriteNetworkCsv(TinyDataset().network, network_path);
   serve::FleetRouterOptions fleet_options;
   fleet_options.live_speed = serve::LiveSpeedOptions{};
   const auto fleet = serve::FleetRouter::ForArtifact(
-      ArtifactV1(), network_path, fleet_options);
+      ArtifactV1(), NetworkPath(), fleet_options);
   serve::FleetShard& city = *fleet->shards()[0];
   sim::RollingSpeedField* rolling = city.rolling_field();
   ASSERT_NE(rolling, nullptr);

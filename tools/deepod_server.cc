@@ -16,10 +16,10 @@
 //
 // Every deployment is a fleet (serve::FleetRouter). --fleet serves every
 // city in the manifest from one process: requests route by their wire
-// network_id, each warm shard runs its own EtaService, drift monitor and
-// (with --watch) hot-swap reloader, and a shard whose artifact is missing or
-// corrupt serves from its OD-oracle fallback tier until a loadable artifact
-// appears ("fleet: activated CITY" is printed on each cold->warm
+// network_id, each warm shard runs its own EtaService and drift monitor,
+// and a shard whose artifact is missing or corrupt serves from its
+// OD-oracle fallback tier until the artifact watcher finds a loadable
+// artifact ("fleet: activated CITY" is printed on each cold->warm
 // transition). --artifact/--network (mutually exclusive with --fleet) is
 // the one-row fleet: city "default", routed by the network_id the artifact
 // was stamped with (0 unless deepod_train got --network-id), answered by
@@ -36,11 +36,13 @@
 // out.
 //
 // Live serving (DESIGN.md "Live serving"), per city:
-//   --watch        polls each artifact path and hot-swaps a rewritten
-//                  artifact into the running service with zero downtime
-//                  ("reloaded PATH" is printed as it goes live; publish new
-//                  artifacts with an atomic rename into place; a corrupt
-//                  artifact is rejected and the old model keeps serving).
+//   --watch        also polls every warm city's artifact path (one watcher
+//                  thread for the fleet, every --poll-ms) and hot-swaps a
+//                  rewritten artifact into the running service with zero
+//                  downtime ("reloaded PATH" is printed as it goes live;
+//                  publish new artifacts with an atomic rename into place;
+//                  a corrupt artifact, or one stamped for another
+//                  network_id, is rejected and the old model keeps serving).
 //   --live-speed   stands up a RollingSpeedField per city fed by ObserveTrip
 //                  frames; a publish ticker folds ingested observations into
 //                  served matrices every --publish-ms and bumps the city's
@@ -166,7 +168,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  fleet_options.reloader.poll_interval = std::chrono::milliseconds(poll_ms);
+  fleet_options.poll_interval = std::chrono::milliseconds(poll_ms);
   if (live_speed) fleet_options.live_speed = live_options;
   fleet_options.on_activate = [](const serve::FleetShard& shard) {
     std::printf("fleet: activated %s (network_id %u)\n", shard.name().c_str(),
@@ -186,10 +188,10 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   };
 
-  // Block SIGTERM/SIGINT before the fleet (reloaders, activation watcher)
-  // and the server spawn their threads, so every thread inherits the
-  // blocked mask and delivery can only happen inside the main thread's
-  // sigsuspend window below (no lost-wakeup race).
+  // Block SIGTERM/SIGINT before the fleet (artifact watcher) and the server
+  // spawn their threads, so every thread inherits the blocked mask and
+  // delivery can only happen inside the main thread's sigsuspend window
+  // below (no lost-wakeup race).
   sigset_t stop_set, old_mask;
   sigemptyset(&stop_set);
   sigaddset(&stop_set, SIGTERM);
@@ -235,7 +237,9 @@ int main(int argc, char** argv) {
                   shard->name().c_str(), rolling->rows(), rolling->cols(),
                   live_options.field.window_seconds);
     }
-    if (fleet_options.watch && shard->warm()) {
+    // The artifact watcher covers every cold shard, and warm ones too
+    // under --watch.
+    if (fleet_options.watch || !shard->warm()) {
       std::printf("watching %s (poll %zums)\n",
                   shard->artifact_path().c_str(), poll_ms);
     }
